@@ -10,15 +10,15 @@ from pathlib import Path
 
 from . import fpm, harc, metrics, pipeline, synth
 from .config import ConfigError, ManifestError, load_config, read_manifest
-from .prep import average_histogram, equalize, histogram, median3x3, opening_mask
+from .prep import align_peak, equalize, median3x3, opening_mask
 from .raster import GrayImage, PgmError, read_pgm, write_pgm
 from .segment import (
-    NO_OBJECT_ITEM,
+    CLASSES,
     QuantizationModel,
     TdbError,
-    Transaction,
     TransactionDB,
-    quantize,
+    image_to_transaction,
+    quantize,  # noqa: F401  unused here; perfbench/tests/test_bench_trace.py wraps this binding
     read_tdb_csv,
     write_tdb_csv,
 )
@@ -58,11 +58,8 @@ def cmd_preprocess(args) -> int:
     stage2 = stage1
     if args.avg_hist:
         avg = json.loads(Path(args.avg_hist).read_text())
-        from .prep import align_peak
-
         stage2 = align_peak(stage1, avg)
     stage3 = median3x3(stage2)
-    mask = opening_mask(stage3)
     Path(args.output).write_bytes(write_pgm(stage3))
     if args.dump_dir:
         dump = Path(args.dump_dir)
@@ -70,40 +67,44 @@ def cmd_preprocess(args) -> int:
         (dump / "stage1_equalized.pgm").write_bytes(write_pgm(stage1))
         (dump / "stage2_aligned.pgm").write_bytes(write_pgm(stage2))
         (dump / "stage3_median.pgm").write_bytes(write_pgm(stage3))
-        mask_img = GrayImage(mask.bits.astype("uint8") * 255)
+        mask_img = GrayImage(opening_mask(stage3).bits.astype("uint8") * 255)
         (dump / "stage4_openmask.pgm").write_bytes(write_pgm(mask_img))
     return EXIT_OK
+
+
+def _manifest_tdb(manifest, entries, cfg):
+    """Features per entry, quantization fit on the train split, one transaction per image.
+
+    Unreadable images are reported and skipped. Only train entries keep their
+    label. Returns (db, quantization, whether any image was skipped).
+    """
+    per_image = []  # (entry, fvs)
+    failed = False
+    for entry in entries:
+        try:
+            img = _read_image(manifest.resolve(entry))
+            per_image.append((entry, pipeline.image_feature_vectors(img, cfg)))
+        except (OSError, PgmError, ValueError) as exc:
+            _err(f"{entry.path}: {exc}")
+            failed = True
+    qm = QuantizationModel.fit(
+        fv for entry, fvs in per_image if entry.split == "train" for fv in fvs
+    )
+    transactions = [
+        image_to_transaction(
+            fvs, qm, entry.path, label=entry.label if entry.split == "train" else None
+        )
+        for entry, fvs in per_image
+    ]
+    return TransactionDB(transactions=transactions), qm, failed
 
 
 def cmd_features(args) -> int:
     cfg = _config_from_args(args)
     manifest = read_manifest(args.manifest)
-    per_image = []  # (entry, fvs or None)
-    failed = False
-    for entry in manifest.entries:
-        try:
-            img = _read_image(manifest.resolve(entry))
-            fvs = pipeline.image_feature_vectors(img, cfg)
-            per_image.append((entry, fvs))
-        except (OSError, PgmError, ValueError) as exc:
-            _err(f"{entry.path}: {exc}")
-            per_image.append((entry, None))
-            failed = True
-    train_fvs = [fv for entry, fvs in per_image if fvs and entry.split == "train" for fv in fvs]
-    qm = QuantizationModel.fit(train_fvs)
-    transactions = []
-    for entry, fvs in per_image:
-        if fvs is None:
-            continue
-        items = set()
-        for fv in fvs:
-            items |= quantize(fv, qm)
-        if not items:
-            items = {NO_OBJECT_ITEM}
-        label = entry.label if entry.split == "train" else None
-        transactions.append(Transaction(tid=entry.path, items=tuple(sorted(items)), label=label))
+    db, qm, failed = _manifest_tdb(manifest, manifest.entries, cfg)
     out = Path(args.output)
-    out.write_bytes(write_tdb_csv(TransactionDB(transactions=transactions)))
+    out.write_bytes(write_tdb_csv(db))
     quant_path = Path(args.quant_out) if args.quant_out else out.with_suffix(out.suffix + ".quant.json")
     quant_path.write_text(json.dumps(qm.to_dict(), indent=2, sort_keys=True) + "\n")
     return EXIT_PARTIAL if failed else EXIT_OK
@@ -124,14 +125,9 @@ def cmd_mine(args) -> int:
     minsup = Fraction(cfg.minsup).limit_denominator(10**9)
     count = fpm.minsup_fraction_to_count(minsup, len(db)) if len(db) else 1
     per_level = {}
-    level_dbs = {2: db}
-    if cfg.levels >= 2:
-        level_dbs[1] = fpm.coarse_collapsed(db)
-    for level, ldb in level_dbs.items():
-        L, tree, mfi, _ = fpm.mine_frequent_family(ldb, count)
-        per_level[level] = [
-            (tuple(sorted(m)), fpm.itemset_support(tree, m)) for m in mfi
-        ]
+    for level, (mfi, freq) in fpm.mine_levels(db, count, cfg.levels).items():
+        supports = dict(freq)
+        per_level[level] = [(tuple(sorted(m)), supports[m]) for m in mfi]
     Path(args.mfi).write_bytes(_mfi_csv(per_level))
     if args.rules:
         if all(t.label is None for t in db.transactions):
@@ -151,29 +147,13 @@ def _load_quantization(tdb_path, explicit):
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
+    failed = False
     if args.tdb:
         db = read_tdb_csv(Path(args.tdb).read_bytes())
         qm = _load_quantization(args.tdb, args.quant)
     else:
         manifest = read_manifest(args.manifest)
-        fvs_by_entry = []
-        for entry in manifest.split("train"):
-            img = _read_image(manifest.resolve(entry))
-            fvs_by_entry.append((entry, pipeline.image_feature_vectors(img, cfg)))
-        qm = QuantizationModel.fit([fv for _, fvs in fvs_by_entry for fv in fvs])
-        rows = []
-        for entry, fvs in fvs_by_entry:
-            items = set()
-            for fv in fvs:
-                items |= quantize(fv, qm)
-            rows.append(
-                Transaction(
-                    tid=entry.path,
-                    items=tuple(sorted(items or {NO_OBJECT_ITEM})),
-                    label=entry.label,
-                )
-            )
-        db = TransactionDB(transactions=rows)
+        db, qm, failed = _manifest_tdb(manifest, manifest.split("train"), cfg)
     model = harc.train(
         db,
         minsup=Fraction(cfg.minsup).limit_denominator(10**9),
@@ -183,7 +163,7 @@ def cmd_train(args) -> int:
         min_area=cfg.min_area,
     )
     Path(args.output).write_bytes(harc.model_to_json(model))
-    return EXIT_OK
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_classify(args) -> int:
@@ -232,7 +212,7 @@ def cmd_evaluate(args) -> int:
         if not line.strip() or (lineno == 1 and line.startswith("path,")):
             continue
         parts = line.split(",")
-        if len(parts) != 3:
+        if len(parts) != 3 or parts[1] not in CLASSES:
             _err(f"{args.predictions}:{lineno}: bad prediction row")
             return EXIT_SEMANTIC
         path, predicted = parts[0], parts[1]

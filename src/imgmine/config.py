@@ -35,6 +35,14 @@ class PipelineConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            if value is None and default is None:
+                continue
+            # Unset thresholds and float fields take any JSON number; never a bool.
+            kind = (int, float) if default is None or isinstance(default, float) else type(default)
+            if not isinstance(value, kind) or isinstance(value, bool) != isinstance(default, bool):
+                raise ConfigError(f"config value {f.name}={value!r} has the wrong type")
         if not 0 < self.minsup <= 1:
             raise ConfigError("minsup must lie in (0, 1]")
         if not 0 < self.minconf <= 1:
@@ -43,6 +51,8 @@ class PipelineConfig:
             raise ConfigError("sigma must be > 0")
         if self.min_area < 1:
             raise ConfigError("min_area must be >= 1")
+        if self.magnitude_mode not in ("exact", "manhattan-approx"):
+            raise ConfigError(f"unknown magnitude mode {self.magnitude_mode!r}")
         if (self.canny_low is None) != (self.canny_high is None):
             raise ConfigError("set both canny_low and canny_high or neither")
         if self.canny_low is not None and not 0 <= self.canny_low <= self.canny_high:

@@ -8,23 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import EdgeMap, GrayImage
-
-
-@dataclass(frozen=True)
-class CannyParams:
-    sigma: float = 1.4
-    low: float = 0.0
-    high: float = 0.0
-    magnitude_mode: str = "exact"  # "exact" | "manhattan-approx"
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
-        if not 0 <= self.low <= self.high:
-            raise ValueError("need 0 <= low <= high")
-        if self.magnitude_mode not in ("exact", "manhattan-approx"):
-            raise ValueError(f"unknown magnitude mode {self.magnitude_mode!r}")
+from .raster import EIGHT_NEIGHBORS, EdgeMap, GrayImage
 
 
 @dataclass(frozen=True)
@@ -41,6 +25,9 @@ class GradientField:
     @property
     def height(self):
         return self.mag.shape[0]
+
+
+FLAT_MAGNITUDE = 1e-9
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -90,6 +77,9 @@ def gradients(img: GrayImage, sigma: float, mode: str = "exact") -> GradientFiel
     gx = conv1d_replicate(conv1d_replicate(a, d, axis=1), g, axis=0)
     gy = conv1d_replicate(conv1d_replicate(a, g, axis=1), d, axis=0)
     mag = magnitude(gx, gy, mode)
+    # On a flat patch the derivative is zero only up to float rounding (~1e-13
+    # for 8-bit input); snap that residue to an exact 0 so it is never an edge.
+    mag[mag < FLAT_MAGNITUDE] = 0.0
     theta = np.degrees(np.arctan2(gy, gx)) % 180.0
     theta[theta == 180.0] = 0.0
     return GradientField(gx=gx, gy=gy, mag=mag, theta_deg=theta)
@@ -141,20 +131,21 @@ def non_max_suppress(field: GradientField) -> np.ndarray:
     return np.where(keep, mag, 0.0)
 
 
-_EIGHT = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-
-
 def hysteresis(nms: np.ndarray, low: float, high: float) -> EdgeMap:
-    """Dual-threshold edge tracking: strong pixels seed 8-connected growth through weak ones."""
+    """Dual-threshold edge tracking: strong pixels seed 8-connected growth through weak ones.
+
+    A pixel with zero magnitude is never an edge, so a flat image has none
+    even under 0/0 thresholds.
+    """
     if low > high:
         raise ValueError("need low <= high")
-    weak = nms >= low
-    kept = nms >= high
+    weak = (nms >= low) & (nms > 0)
+    kept = weak & (nms >= high)
     h, w = nms.shape
     queue = deque(zip(*np.nonzero(kept)))
     while queue:
         y, x = queue.popleft()
-        for dy, dx in _EIGHT:
+        for dy, dx in EIGHT_NEIGHBORS:
             ny, nx = y + dy, x + dx
             if 0 <= ny < h and 0 <= nx < w and weak[ny, nx] and not kept[ny, nx]:
                 kept[ny, nx] = True
@@ -186,16 +177,3 @@ def chamfer_manhattan(edges: EdgeMap) -> np.ndarray:
                 v = min(v, d[y, x + 1] + 1)
             d[y, x] = v
     return d
-
-
-def canny(img: GrayImage, params: CannyParams) -> EdgeMap:
-    """Full detector: gradients -> non-maximum suppression -> hysteresis."""
-    field = gradients(img, params.sigma, params.magnitude_mode)
-    return hysteresis(non_max_suppress(field), params.low, params.high)
-
-
-def relative_thresholds(img: GrayImage, params: CannyParams, low_frac=0.1, high_frac=0.25):
-    """Derive absolute hysteresis thresholds as fractions of the max gradient magnitude."""
-    field = gradients(img, params.sigma, params.magnitude_mode)
-    m = float(field.mag.max())
-    return low_frac * m, high_frac * m

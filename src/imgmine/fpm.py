@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .segment import CLASS_ITEMS, ITEM_CLASSES, TransactionDB, coarse_item
+from .segment import CLASS_ITEMS, ITEM_CLASSES, Transaction, TransactionDB, coarse_item
 
 
 class FPNode:
@@ -197,8 +197,6 @@ class AssociationRule:
 
 def with_class_items(db: TransactionDB) -> TransactionDB:
     """Append each labeled transaction's reserved class item; drop unlabeled rows."""
-    from .segment import Transaction
-
     rows = [
         Transaction(tid=t.tid, items=t.items + (CLASS_ITEMS[t.label],), label=t.label)
         for t in db.transactions
@@ -209,8 +207,6 @@ def with_class_items(db: TransactionDB) -> TransactionDB:
 
 def coarse_collapsed(db: TransactionDB) -> TransactionDB:
     """Hierarchy level 1: replace fine feature codes with their coarse parents."""
-    from .segment import Transaction
-
     rows = [
         Transaction(
             tid=t.tid, items=tuple({coarse_item(i) for i in t.items}), label=t.label
@@ -226,6 +222,22 @@ def mine_frequent_family(db: TransactionDB, minsup_count: int):
     tree = build_fp_tree(db, L)
     mfi = mine_mfi(tree, L, minsup_count)
     return L, tree, mfi, frequent_closure(mfi, tree)
+
+
+def mine_levels(db: TransactionDB, minsup_count: int, levels: int = 2):
+    """Mine each hierarchy level of db; returns {level: (MFI, frequent family)}.
+
+    Level 2 holds the fine codes; level 1, mined when levels >= 2, their coarse
+    parents. Both the mine command and mine_class_rules go through here.
+    """
+    level_dbs = {2: db}
+    if levels >= 2:
+        level_dbs[1] = coarse_collapsed(db)
+    out = {}
+    for level, ldb in level_dbs.items():
+        _, _, mfi, freq = mine_frequent_family(ldb, minsup_count)
+        out[level] = (mfi, freq)
+    return out
 
 
 def generate_rules(freq, db: TransactionDB, minsup: Fraction, minconf: Fraction):
@@ -281,14 +293,10 @@ def mine_class_rules(db: TransactionDB, minsup, minconf, levels: int = 2):
     count = minsup_fraction_to_count(minsup, len(labeled))
     mfi_per_level = {}
     merged = {}
-    level_dbs = {2: labeled}
-    if levels >= 2:
-        level_dbs[1] = coarse_collapsed(labeled)
-    for level in sorted(level_dbs, reverse=True):
-        ldb = level_dbs[level]
-        _, _, mfi, freq = mine_frequent_family(ldb, count)
+    for level, (mfi, freq) in mine_levels(labeled, count, levels).items():
         mfi_per_level[level] = mfi
-        for rule in generate_rules(freq, ldb, minsup, minconf):
+        # The coarse database has the same rows and labels, so |D| is shared.
+        for rule in generate_rules(freq, labeled, minsup, minconf):
             key = (rule.antecedent, rule.consequent)
             prev = merged.get(key)
             if prev is None or rule.confidence > prev.confidence:

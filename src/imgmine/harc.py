@@ -237,27 +237,32 @@ def model_from_json(data: bytes) -> HarcModel:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelError(f"unreadable model: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ModelError("model JSON is not an object")
     if doc.get("version") != MODEL_VERSION:
         raise ModelError(f"model version {doc.get('version')!r} != {MODEL_VERSION}")
-    rules = [
-        AssociationRule(
-            antecedent=tuple(r["antecedent"]),
-            consequent=r["class"],
-            support=Fraction(*r["support"]),
-            confidence=Fraction(*r["confidence"]),
+    try:
+        rules = [
+            AssociationRule(
+                antecedent=tuple(r["antecedent"]),
+                consequent=r["class"],
+                support=Fraction(*r["support"]),
+                confidence=Fraction(*r["confidence"]),
+            )
+            for r in doc["rules"]
+        ]
+        by_antecedent = {r.antecedent: r for r in rules}
+        attributes = [
+            RuleAttribute(antecedent=tuple(a), rule=by_antecedent[tuple(a)])
+            for a in doc["attributes"]
+        ]
+        return HarcModel(
+            rules=rules,
+            attributes=attributes,
+            tree=_tree_from_dict(doc["tree"]),
+            quantization=QuantizationModel.from_dict(doc["quantization"]),
+            default_class=doc["default_class"],
+            min_area=int(doc.get("min_area", 25)),
         )
-        for r in doc["rules"]
-    ]
-    by_antecedent = {r.antecedent: r for r in rules}
-    attributes = [
-        RuleAttribute(antecedent=tuple(a), rule=by_antecedent[tuple(a)])
-        for a in doc["attributes"]
-    ]
-    return HarcModel(
-        rules=rules,
-        attributes=attributes,
-        tree=_tree_from_dict(doc["tree"]),
-        quantization=QuantizationModel.from_dict(doc["quantization"]),
-        default_class=doc["default_class"],
-        min_area=int(doc.get("min_area", 25)),
-    )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ModelError(f"malformed model: {type(exc).__name__}: {exc}") from None

@@ -41,10 +41,6 @@ class MultiClassMatrix:
     counts: dict  # (true_class, predicted_class) -> count
 
     @classmethod
-    def zeros(cls):
-        return cls(counts={(t, p): 0 for t in CLASSES for p in CLASSES})
-
-    @classmethod
     def from_pairs(cls, pairs):
         counts = {(t, p): 0 for t in CLASSES for p in CLASSES}
         for true, pred in pairs:
@@ -53,11 +49,6 @@ class MultiClassMatrix:
 
     def get(self, true, pred):
         return self.counts.get((true, pred), 0)
-
-    def add(self, other):
-        return MultiClassMatrix(
-            counts={k: self.counts.get(k, 0) + other.counts.get(k, 0) for k in self.counts}
-        )
 
 
 def binarize(m: MultiClassMatrix) -> ConfusionCounts:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .config import PipelineConfig
-from .edge import CannyParams, canny, gradients, hysteresis, non_max_suppress
+from .edge import gradients, hysteresis, non_max_suppress
 from .prep import align_peak, equalize, median3x3
 from .raster import EdgeMap, GrayImage
 from .segment import (
@@ -39,15 +39,6 @@ def detect_edges(img: GrayImage, cfg: PipelineConfig) -> EdgeMap:
     return hysteresis(non_max_suppress(field), low, high)
 
 
-def canny_params(cfg: PipelineConfig) -> CannyParams:
-    return CannyParams(
-        sigma=cfg.sigma,
-        low=cfg.canny_low or 0.0,
-        high=cfg.canny_high or 0.0,
-        magnitude_mode=cfg.magnitude_mode,
-    )
-
-
 def image_feature_vectors(img: GrayImage, cfg: PipelineConfig, avg_hist=None):
     """Preprocess, detect edges and return the per-region feature vectors."""
     pre = preprocess_image(img, cfg, avg_hist)
@@ -69,6 +60,5 @@ def image_transaction(
     label=None,
     avg_hist=None,
 ) -> Transaction:
-    pre = preprocess_image(img, cfg, avg_hist)
-    edges = detect_edges(pre, cfg)
-    return image_to_transaction(pre, edges, qm, tid, label=label, min_area=cfg.min_area)
+    fvs = image_feature_vectors(img, cfg, avg_hist)
+    return image_to_transaction(fvs, qm, tid, label=label)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryImage, GrayImage
+from .raster import BinaryImage, GrayImage, threshold
 
 
 def histogram(img: GrayImage) -> np.ndarray:
@@ -138,6 +138,4 @@ def opening_mask(img: GrayImage, se: StructuringElement | None = None) -> Binary
     """Otsu-threshold the image and open the mask; removes small foreground objects."""
     if se is None:
         se = square3()
-    from .raster import threshold
-
     return open_(threshold(img, otsu_threshold(img)), se)

@@ -68,6 +68,9 @@ class BinaryImage:
 # Final Canny output is just a binary mask.
 EdgeMap = BinaryImage
 
+# (dy, dx) offsets of a pixel's 8-connected neighbours.
+EIGHT_NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
 
 def _next_token(data: bytes, pos: int):
     """Skip whitespace and '#' comments, return (token, end_pos)."""

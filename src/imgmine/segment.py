@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .prep import dilate, square3
-from .raster import BinaryImage, EdgeMap, GrayImage
+from .raster import EIGHT_NEIGHBORS, EdgeMap, GrayImage
 
 FEATURE_NAMES = (
     "area",
@@ -115,9 +115,6 @@ def _fill_holes(mask: np.ndarray) -> np.ndarray:
     return mask | ~reach
 
 
-_EIGHT = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-
-
 def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
     """Close gaps (one 3x3 dilation), fill holes, label 8-connected components.
 
@@ -140,7 +137,7 @@ def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
                 queue = deque([(y, x)])
                 while queue:
                     cy, cx = queue.popleft()
-                    for dy, dx in _EIGHT:
+                    for dy, dx in EIGHT_NEIGHBORS:
                         ny, nx = cy + dy, cx + dx
                         if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and labels[ny, nx] == 0:
                             labels[ny, nx] = nxt
@@ -194,7 +191,7 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
         glcm_contrast=contrast,
         glcm_energy=energy,
         glcm_homogeneity=homogeneity,
-        glcm_entropy=max(entropy, 0.0),
+        glcm_entropy=max(0.0, entropy),  # +0.0, never -0.0, for a single-level region
     )
 
 
@@ -268,24 +265,13 @@ def quantize(fv: FeatureVector, qm: QuantizationModel):
 
 
 def image_to_transaction(
-    img: GrayImage,
-    edges: EdgeMap,
-    qm: QuantizationModel,
-    tid: str,
-    label: Optional[str] = None,
-    min_area: int = 25,
+    fvs, qm: QuantizationModel, tid: str, label: Optional[str] = None
 ) -> Transaction:
-    """One transaction per image: the union of all regions' quantized codes."""
+    """One transaction per image: the union of its regions' quantized codes."""
     items = set()
-    for region in extract_regions(edges, img, min_area=min_area):
-        try:
-            fv = glcm_features(img, region)
-        except ValueError:
-            continue  # region too thin for a co-occurrence pair
+    for fv in fvs:
         items |= quantize(fv, qm)
-    if not items:
-        items = {NO_OBJECT_ITEM}
-    return Transaction(tid=tid, items=tuple(sorted(items)), label=label)
+    return Transaction(tid=tid, items=tuple(sorted(items or {NO_OBJECT_ITEM})), label=label)
 
 
 TDB_HEADER = "tid,label,items"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,44 @@ def test_model_version_mismatch_exits_4(tmp_path):
     assert rc == 4
 
 
+def test_malformed_model_exits_4(tmp_path):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(labeled_tdb())
+    doc = json.loads(harc.model_to_json(harc.train(read_tdb_csv(labeled_tdb()))))
+    no_rules = dict(doc)
+    del no_rules["rules"]
+    bad_type = dict(doc, rules=[dict(r, support="half") for r in doc["rules"]])
+    for broken in (no_rules, bad_type):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(broken))
+        assert main(["classify", str(model), "--tdb", str(tdb), str(tmp_path / "p.csv")]) == 4
+
+
+def test_config_value_of_wrong_type_exits_3(tmp_path):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(labeled_tdb())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sigma": "big"}')
+    assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--config", str(cfg)]) == 3
+
+
+def test_unknown_magnitude_mode_exits_3(tmp_path):
+    man = make_manifest(tmp_path, n=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"magnitude_mode": "fast"}')
+    out = tmp_path / "tdb.csv"
+    assert main(["features", str(man), str(out), "--config", str(cfg)]) == 3
+    assert not out.exists()
+
+
+def test_evaluate_unknown_predicted_label_exits_3(tmp_path):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("path,predicted,fired_rule_count\na.pgm,cancerous,0\n")
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\na.pgm,benign,test\n")
+    assert main(["evaluate", str(pred), str(man)]) == 3
+
+
 def test_malformed_tdb_exits_3(tmp_path):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(TDB_HEADER + b"a,,1;x\n")
@@ -148,6 +188,31 @@ def test_features_missing_image_partial(tmp_path):
     out = tmp_path / "tdb.csv"
     assert main(["features", str(man), str(out)]) == 1
     assert len(read_tdb_csv(out.read_bytes()).transactions) == 2
+
+
+# ------------------------------------------------------ train --manifest
+
+
+def test_train_manifest_matches_features_then_train_tdb(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", str(corpus), "--seed", "42"]) == 0
+    man, cfg = str(corpus / "manifest.csv"), str(corpus / "config.json")
+    tdb, via_tdb, direct = tmp_path / "tdb.csv", tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["features", man, str(tdb), "--config", cfg]) == 0
+    assert main(["train", "--tdb", str(tdb), str(via_tdb), "--config", cfg]) == 0
+    assert main(["train", "--manifest", man, str(direct), "--config", cfg]) == 0
+    assert direct.read_bytes() == via_tdb.read_bytes()
+
+
+def test_train_manifest_unreadable_image_partial(tmp_path, capsys):
+    man = make_manifest(tmp_path, n=2)
+    write_image(tmp_path / "dark.pgm", np.full((32, 32), 5))
+    (tmp_path / "broken.pgm").write_bytes(b"P5\n32 32\n255\n")  # no pixel data
+    man.write_text(man.read_text() + "dark.pgm,normal,train\nbroken.pgm,normal,train\n")
+    model = tmp_path / "model.json"
+    assert main(["train", "--manifest", str(man), str(model)]) == 1
+    assert "broken.pgm" in capsys.readouterr().err
+    assert harc.model_from_json(model.read_bytes()).tree is not None
 
 
 # --------------------------------------------------------------------- mine

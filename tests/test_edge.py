@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
+from imgmine.config import ConfigError, PipelineConfig
 from imgmine.edge import (
-    CannyParams,
-    canny,
     chamfer_manhattan,
     direction_bin,
     gaussian_deriv_kernel_1d,
@@ -13,7 +12,9 @@ from imgmine.edge import (
     magnitude,
     non_max_suppress,
 )
+from imgmine.pipeline import detect_edges, image_feature_vectors, image_transaction
 from imgmine.raster import BinaryImage, GrayImage
+from imgmine.segment import NO_OBJECT_ITEM, QuantizationModel
 
 from oracles import chamfer_brute, conv2d_clamped
 
@@ -236,9 +237,22 @@ def test_chamfer_matches_brute_force():
 # -------------------------------------------------------------------- canny
 
 
+def canny_config(sigma, low, high):
+    return PipelineConfig(sigma=sigma, canny_low=low, canny_high=high)
+
+
 def test_canny_constant_image_empty():
-    p = CannyParams(sigma=1.0, low=1.0, high=2.0)
-    assert not canny(gi(np.full((16, 16), 50)), p).bits.any()
+    cfg = canny_config(1.0, 1.0, 2.0)
+    assert not detect_edges(gi(np.full((16, 16), 50)), cfg).bits.any()
+
+
+def test_canny_flat_image_has_no_edges_or_objects():
+    flat = gi(np.full((32, 32), 50))
+    cfg = PipelineConfig()  # relative thresholds: 0/0 on a flat image
+    assert not detect_edges(flat, cfg).bits.any()
+    assert image_feature_vectors(flat, cfg) == []
+    t = image_transaction(flat, cfg, QuantizationModel(), tid="flat")
+    assert t.items == (NO_OBJECT_ITEM,)
 
 
 def test_canny_disk_ring():
@@ -246,7 +260,7 @@ def test_canny_disk_ring():
     y, x = np.mgrid[0:size, 0:size]
     c = size / 2 - 0.5
     img = gi(np.where((y - c) ** 2 + (x - c) ** 2 <= r * r, 200, 0))
-    edges = canny(img, CannyParams(sigma=1.4, low=5.0, high=20.0)).bits
+    edges = detect_edges(img, canny_config(1.4, 5.0, 20.0)).bits
     ys, xs = np.nonzero(edges)
     assert len(ys) > 0
     radii = np.hypot(ys - c, xs - c)
@@ -269,16 +283,16 @@ def test_canny_disk_ring():
 def test_canny_invariant_under_brightness_shift():
     rng = np.random.default_rng(17)
     base = rng.integers(40, 200, size=(20, 20))
-    p = CannyParams(sigma=1.0, low=3.0, high=8.0)
-    a = canny(gi(base), p)
-    b = canny(gi(base + 10), p)
+    cfg = canny_config(1.0, 3.0, 8.0)
+    a = detect_edges(gi(base), cfg)
+    b = detect_edges(gi(base + 10), cfg)
     assert a == b
 
 
 def test_canny_params_validation():
-    with pytest.raises(ValueError):
-        CannyParams(sigma=0)
-    with pytest.raises(ValueError):
-        CannyParams(low=5, high=2)
-    with pytest.raises(ValueError):
-        CannyParams(magnitude_mode="fast")
+    with pytest.raises(ConfigError):
+        PipelineConfig(sigma=0)
+    with pytest.raises(ConfigError):
+        canny_config(1.4, 5.0, 2.0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(magnitude_mode="fast")

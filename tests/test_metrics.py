@@ -58,18 +58,6 @@ def test_binarize_partitions_total():
         assert binarize(m).total == len(pairs)
 
 
-def test_matrix_add_linearity():
-    a = matrix(normal__normal=1, benign__normal=2)
-    b = matrix(normal__normal=3, malignant__malignant=5)
-    ca, cb, csum = binarize(a), binarize(b), binarize(a.add(b))
-    assert (csum.tp, csum.tn, csum.fp, csum.fn) == (
-        ca.tp + cb.tp,
-        ca.tn + cb.tn,
-        ca.fp + cb.fp,
-        ca.fn + cb.fn,
-    )
-
-
 # ----------------------------------------------------------------- formulas
 
 

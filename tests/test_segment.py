@@ -120,6 +120,7 @@ def test_glcm_constant_region():
     assert fv.glcm_energy == 1.0
     assert fv.glcm_homogeneity == 1.0
     assert fv.glcm_entropy == 0.0
+    assert math.copysign(1.0, fv.glcm_entropy) == 1.0  # +0.0, not -0.0
     assert fv.mean_intensity == 80.0
     assert fv.area == 36.0
 
@@ -204,30 +205,35 @@ def test_quantization_model_round_trip():
 # ------------------------------------------------------------- transactions
 
 
+def region_fvs(img, edges):
+    return [glcm_features(img, r) for r in extract_regions(edges, img)]
+
+
 def test_image_to_transaction_no_regions():
-    edges = BinaryImage(np.zeros((8, 8), dtype=bool))
-    t = image_to_transaction(flat(8), edges, make_qm(), tid="t0")
+    t = image_to_transaction([], make_qm(), tid="t0")
     assert t.items == (NO_OBJECT_ITEM,)
 
 
 def test_image_to_transaction_single_region():
     size = 96
     img = flat(size)
-    edges = BinaryImage(ring_mask(size, 48, 48, 30))
+    fvs = region_fvs(img, BinaryImage(ring_mask(size, 48, 48, 30)))
     qm = make_qm(area=(0.0, 5000.0), mean_intensity=(0.0, 255.0))
-    t = image_to_transaction(img, edges, qm, tid="t1")
+    t = image_to_transaction(fvs, qm, tid="t1", label="benign")
     assert len(t.items) == 6  # one code per feature
     assert list(t.items) == sorted(set(t.items))
+    assert t.label == "benign"
 
 
 def test_image_to_transaction_duplicate_regions_collapse():
     size = 96
     img = flat(size)
-    two = BinaryImage(ring_mask(size, 64, 70, 12) | ring_mask(size, 24, 20, 12))
-    one = BinaryImage(ring_mask(size, 24, 20, 12))
+    two = region_fvs(img, BinaryImage(ring_mask(size, 64, 70, 12) | ring_mask(size, 24, 20, 12)))
+    one = region_fvs(img, BinaryImage(ring_mask(size, 24, 20, 12)))
+    assert len(two) == 2 and len(one) == 1
     qm = make_qm(area=(0.0, 5000.0), mean_intensity=(0.0, 255.0))
-    t_two = image_to_transaction(img, two, qm, tid="a")
-    t_one = image_to_transaction(img, one, qm, tid="b")
+    t_two = image_to_transaction(two, qm, tid="a")
+    t_one = image_to_transaction(one, qm, tid="b")
     assert t_two.items == t_one.items
 
 
