@@ -161,6 +161,7 @@ def cmd_train(args) -> int:
         attribute_cap=cfg.attribute_cap,
         quantization=qm,
         min_area=cfg.min_area,
+        levels=cfg.levels,
     )
     Path(args.output).write_bytes(harc.model_to_json(model))
     return EXIT_PARTIAL if failed else EXIT_OK
@@ -176,6 +177,7 @@ def cmd_classify(args) -> int:
         _err(str(exc))
         return EXIT_MODEL
     rows = []
+    failed = False
     if args.tdb:
         db = read_tdb_csv(Path(args.tdb).read_bytes())
         for t in db.transactions:
@@ -188,14 +190,21 @@ def cmd_classify(args) -> int:
         else:
             entries = [(args.image, Path(args.image))]
         for name, path in entries:
-            img = _read_image(path)
+            try:
+                img = _read_image(path)
+            except (OSError, PgmError) as exc:
+                if not args.manifest:
+                    raise
+                _err(f"{name}: {exc}")  # skip it, as features does
+                failed = True
+                continue
             t = pipeline.image_transaction(img, cfg, model.quantization, tid=name)
             label, fired = harc.classify(model, t)
             rows.append((name, label, len(fired)))
     lines = ["path,predicted,fired_rule_count"]
     lines.extend(f"{p},{lab},{n}" for p, lab, n in rows)
     Path(args.output).write_text("\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_evaluate(args) -> int:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import EIGHT_NEIGHBORS, EdgeMap, GrayImage
+from .raster import EdgeMap, GrayImage, label_components
 
 
 @dataclass(frozen=True)
@@ -140,17 +139,10 @@ def hysteresis(nms: np.ndarray, low: float, high: float) -> EdgeMap:
     if low > high:
         raise ValueError("need low <= high")
     weak = (nms >= low) & (nms > 0)
-    kept = weak & (nms >= high)
-    h, w = nms.shape
-    queue = deque(zip(*np.nonzero(kept)))
-    while queue:
-        y, x = queue.popleft()
-        for dy, dx in EIGHT_NEIGHBORS:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and weak[ny, nx] and not kept[ny, nx]:
-                kept[ny, nx] = True
-                queue.append((ny, nx))
-    return EdgeMap(kept)
+    labels = label_components(weak, 8)
+    seeded = np.zeros(labels.max() + 1, dtype=bool)
+    seeded[labels[weak & (nms >= high)]] = True
+    return EdgeMap(seeded[labels])
 
 
 def chamfer_manhattan(edges: EdgeMap) -> np.ndarray:

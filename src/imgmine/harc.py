@@ -156,15 +156,16 @@ def train(
     attribute_cap: int = DEFAULT_ATTRIBUTE_CAP,
     quantization: Optional[QuantizationModel] = None,
     min_area: int = 25,
+    levels: int = 2,
 ) -> HarcModel:
-    """Mine class rules, build rule attributes, induce the decision tree."""
+    """Mine class rules (at `levels` hierarchy levels), build rule attributes, induce the tree."""
     labeled = [t for t in db.transactions if t.label is not None]
     if not labeled:
         raise ValueError("training requires labeled transactions")
     classes = {t.label for t in labeled}
     if len(classes) < 2:
         raise ValueError("training requires at least two classes")
-    rules, _ = mine_class_rules(db, minsup, minconf)
+    rules, _ = mine_class_rules(db, minsup, minconf, levels=levels)
 
     attrs = []
     seen = set()

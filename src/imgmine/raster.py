@@ -68,9 +68,6 @@ class BinaryImage:
 # Final Canny output is just a binary mask.
 EdgeMap = BinaryImage
 
-# (dy, dx) offsets of a pixel's 8-connected neighbours.
-EIGHT_NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-
 
 def _next_token(data: bytes, pos: int):
     """Skip whitespace and '#' comments, return (token, end_pos)."""
@@ -130,3 +127,42 @@ def threshold(img: GrayImage, t: int) -> BinaryImage:
     if not 0 <= t <= 255:
         raise ValueError("threshold must lie in [0, 255]")
     return BinaryImage(img.pixels >= t)
+
+
+def label_components(bits, connectivity: int) -> np.ndarray:
+    """Label the 4- or 8-connected components of a boolean mask (int32, 0 = background).
+
+    Components are numbered 1.. in raster order of their first pixel. Two-pass
+    run labelling: find the row runs, join the runs of adjacent rows that touch
+    with union-find, then paint each run with its component's number.
+    """
+    if connectivity not in (4, 8):
+        raise ValueError("connectivity must be 4 or 8")
+    bits = np.asarray(bits, dtype=bool)
+    h, w = bits.shape
+    step = np.diff(np.pad(bits, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    row, start = np.nonzero(step == 1)
+    end = np.nonzero(step == -1)[1]  # exclusive
+    # Run b touches the runs of the row above whose columns overlap its own,
+    # widened by one column on each side under 8-connectivity. Those runs are
+    # contiguous in raster order; keys row * (w + 2) + column keep rows apart.
+    k, span = int(connectivity == 8), w + 2
+    first = np.searchsorted(row * span + end, (row - 1) * span + start - k, side="right")
+    count = np.maximum(np.searchsorted(row * span + start, (row - 1) * span + end + k) - first, 0)
+    b = np.repeat(np.arange(len(row)), count)
+    a = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(b))
+    # Union-find with every root the smallest run of its tree, which is the
+    # component's first run in raster order.
+    parent = np.arange(len(row))
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while (parent[parent] != parent).any():
+            parent = parent[parent]
+    number = np.cumsum(parent == np.arange(len(row)), dtype=np.int32)[parent]
+    labels = np.zeros(h * w, dtype=np.int32)
+    labels[bits.ravel()] = np.repeat(number, end - start)
+    return labels.reshape(h, w)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .prep import dilate, square3
-from .raster import EIGHT_NEIGHBORS, EdgeMap, GrayImage
+from .raster import EdgeMap, GrayImage, label_components
 
 FEATURE_NAMES = (
     "area",
@@ -93,26 +92,9 @@ class TransactionDB:
 
 def _fill_holes(mask: np.ndarray) -> np.ndarray:
     """Fill background pockets not reachable from the border (4-connected background)."""
-    h, w = mask.shape
-    reach = np.zeros_like(mask)
-    queue = deque()
-    for x in range(w):
-        for y in (0, h - 1):
-            if not mask[y, x] and not reach[y, x]:
-                reach[y, x] = True
-                queue.append((y, x))
-    for y in range(h):
-        for x in (0, w - 1):
-            if not mask[y, x] and not reach[y, x]:
-                reach[y, x] = True
-                queue.append((y, x))
-    while queue:
-        y, x = queue.popleft()
-        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-            if 0 <= ny < h and 0 <= nx < w and not mask[ny, nx] and not reach[ny, nx]:
-                reach[ny, nx] = True
-                queue.append((ny, nx))
-    return mask | ~reach
+    pockets = label_components(~mask, 4)
+    border = np.concatenate([pockets[0], pockets[-1], pockets[:, 0], pockets[:, -1]])
+    return mask | ~np.isin(pockets, border)
 
 
 def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
@@ -123,35 +105,15 @@ def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
     """
     if (edges.height, edges.width) != (img.height, img.width):
         raise ValueError("edge map and image dimensions differ")
-    mask = _fill_holes(dilate(edges, square3()).bits)
-    h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int32)
+    labels = label_components(_fill_holes(dilate(edges, square3()).bits), 8).ravel()
+    pixels = np.argsort(labels, kind="stable")  # by component, raster order within each
+    sizes = np.bincount(labels)
     regions = []
-    nxt = 0
-    for y in range(h):
-        for x in range(w):
-            if mask[y, x] and labels[y, x] == 0:
-                nxt += 1
-                labels[y, x] = nxt
-                comp = [(y, x)]
-                queue = deque([(y, x)])
-                while queue:
-                    cy, cx = queue.popleft()
-                    for dy, dx in EIGHT_NEIGHBORS:
-                        ny, nx = cy + dy, cx + dx
-                        if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and labels[ny, nx] == 0:
-                            labels[ny, nx] = nxt
-                            comp.append((ny, nx))
-                            queue.append((ny, nx))
-                if len(comp) >= min_area:
-                    coords = np.array(sorted(comp), dtype=np.int64)
-                    bbox = (
-                        int(coords[:, 0].min()),
-                        int(coords[:, 1].min()),
-                        int(coords[:, 0].max()),
-                        int(coords[:, 1].max()),
-                    )
-                    regions.append(Region(coords=coords, bbox=bbox))
+    for stop, size in zip(np.cumsum(sizes)[1:], sizes[1:]):
+        if size >= min_area:
+            ys, xs = np.divmod(pixels[stop - size : stop], img.width)
+            bbox = (int(ys[0]), int(xs.min()), int(ys[-1]), int(xs.max()))
+            regions.append(Region(coords=np.stack([ys, xs], axis=1).astype(np.int64), bbox=bbox))
     regions.sort(key=lambda r: (r.bbox[0], r.bbox[1], r.area))
     return regions
 
@@ -168,13 +130,13 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
     vals = img.pixels[ys, xs].astype(np.float64)
     levels = (img.pixels.astype(np.int32) * GLCM_LEVELS) // 256
 
-    member = set(map(tuple, region.coords.tolist()))
+    inside = np.zeros(levels.shape, dtype=bool)
+    inside[ys, xs] = True
+    pair = inside[:, :-1] & inside[:, 1:]  # (y, x) and (y, x + 1) both in the region
+    i, j = levels[:, :-1][pair], levels[:, 1:][pair]
     counts = np.zeros((GLCM_LEVELS, GLCM_LEVELS), dtype=np.float64)
-    for y, x in member:
-        if (y, x + 1) in member:
-            i, j = levels[y, x], levels[y, x + 1]
-            counts[i, j] += 1
-            counts[j, i] += 1
+    np.add.at(counts, (i, j), 1)
+    np.add.at(counts, (j, i), 1)
     total = counts.sum()
     if total == 0:
         raise ValueError("GLCM undefined: no horizontally adjacent pixel pair in region")
@@ -258,7 +220,7 @@ def quantize(fv: FeatureVector, qm: QuantizationModel):
     items = set()
     for idx, name in enumerate(FEATURE_NAMES, start=1):
         if name not in qm.ranges:
-            raise KeyError(f"quantization model missing range for {name!r}")
+            raise ValueError(f"quantization model missing range for {name!r}")
         lo, hi = qm.ranges[name]
         items.add(encode_item(idx, _fine_bin(fv.value(name), lo, hi)))
     return items

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's FP-tree / separable-filter
 code paths: supports come from exhaustive subset enumeration, convolutions
-from direct O(n^2 k^2) summation, distances from all-pairs minimization.
+from direct O(n^2 k^2) summation, distances from all-pairs minimization,
+connected components from a pixel-by-pixel flood fill.
 """
 
 from fractions import Fraction
@@ -86,6 +87,45 @@ def chamfer_brute(mask):
         for x in range(w):
             out[y, x] = int(np.min(np.abs(ys - y) + np.abs(xs - x)))
     return out
+
+
+def flood_fill_labels(mask, connectivity):
+    """Component labels by stack flood fill, seeded from each unlabelled pixel in raster order."""
+    if connectivity == 4:
+        steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    else:
+        steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
+    h, w = mask.shape
+    out = np.zeros((h, w), dtype=np.int64)
+    n = 0
+    for y in range(h):
+        for x in range(w):
+            if not mask[y, x] or out[y, x]:
+                continue
+            n += 1
+            out[y, x] = n
+            stack = [(y, x)]
+            while stack:
+                cy, cx = stack.pop()
+                for dy, dx in steps:
+                    ny, nx = cy + dy, cx + dx
+                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not out[ny, nx]:
+                        out[ny, nx] = n
+                        stack.append((ny, nx))
+    return out
+
+
+def glcm_counts_brute(pixels, coords, levels=8):
+    """Symmetric horizontal co-occurrence counts, by set lookup of each pixel's right neighbour."""
+    member = {(int(y), int(x)) for y, x in coords}
+    counts = np.zeros((levels, levels), dtype=np.int64)
+    for y, x in member:
+        if (y, x + 1) in member:
+            i = int(pixels[y, x]) * levels // 256
+            j = int(pixels[y, x + 1]) * levels // 256
+            counts[i, j] += 1
+            counts[j, i] += 1
+    return counts
 
 
 def random_db(rng, max_items=12, max_transactions=30, labeled=False):

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from imgmine import harc
+from imgmine import fpm, harc
 from imgmine.cli import main
 from imgmine.raster import read_pgm, write_pgm, GrayImage
 from imgmine.segment import Transaction, TransactionDB, read_tdb_csv, write_tdb_csv
@@ -126,6 +127,26 @@ def test_evaluate_unknown_predicted_label_exits_3(tmp_path):
     assert main(["evaluate", str(pred), str(man)]) == 3
 
 
+def test_features_without_train_regions_exits_3(tmp_path, capsys):
+    write_image(tmp_path / "flat.pgm", np.full((32, 32), 90))
+    write_image(tmp_path / "blob.pgm", blob_image())
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\nflat.pgm,normal,train\nblob.pgm,benign,test\n")
+    assert main(["features", str(man), str(tmp_path / "tdb.csv")]) == 3
+    assert "missing range" in capsys.readouterr().err
+
+
+def test_classify_image_with_model_lacking_quantization_exits_3(tmp_path):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(labeled_tdb())  # no t.csv.quant.json beside it
+    model = tmp_path / "model.json"
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 0
+    write_image(tmp_path / "blob.pgm", blob_image())
+    rc = main(["classify", str(model), "--image", str(tmp_path / "blob.pgm"),
+               str(tmp_path / "pred.csv")])
+    assert rc == 3
+
+
 def test_malformed_tdb_exits_3(tmp_path):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(TDB_HEADER + b"a,,1;x\n")
@@ -215,6 +236,23 @@ def test_train_manifest_unreadable_image_partial(tmp_path, capsys):
     assert harc.model_from_json(model.read_bytes()).tree is not None
 
 
+def test_readme_chain_artifact_digests(tmp_path):
+    """TDB and prediction bytes of the README chain (synth seed 42, corpus config)."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", str(corpus), "--seed", "42"]) == 0
+    man, cfg = str(corpus / "manifest.csv"), str(corpus / "config.json")
+    tdb, model, pred = tmp_path / "tdb.csv", tmp_path / "model.json", tmp_path / "pred.csv"
+    assert main(["features", man, str(tdb), "--config", cfg]) == 0
+    assert main(["train", "--tdb", str(tdb), str(model), "--config", cfg]) == 0
+    assert main(["classify", str(model), "--manifest", man, str(pred), "--config", cfg]) == 0
+    assert hashlib.sha256(tdb.read_bytes()).hexdigest() == (
+        "1795f3d3234fe691dd3f38f9637e9a545e8ab57ccaa2d761950f532eecf2cf40"
+    )
+    assert hashlib.sha256(pred.read_bytes()).hexdigest() == (
+        "67ddf2ac7037d100bb868a67018d9680f6f0a22d9f991a4ac12b965b8232e03a"
+    )
+
+
 # --------------------------------------------------------------------- mine
 
 
@@ -265,6 +303,42 @@ def test_train_classify_evaluate_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy: 100.0%" in out
     assert "sensitivity,100.0" in metrics_csv.read_text()
+
+
+def test_train_honours_levels(tmp_path):
+    groups = [("normal", (999,)), ("benign", (111, 211)), ("benign", (112, 212)),
+              ("malignant", (121, 221)), ("malignant", (122, 222))]
+    rows = [
+        Transaction(tid=f"t{i:02d}", items=groups[i % 5][1], label=groups[i % 5][0])
+        for i in range(12)
+    ]
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(write_tdb_csv(TransactionDB(transactions=rows)))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"levels": 1}))
+    rules, model = tmp_path / "r.csv", tmp_path / "model.json"
+    assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--rules", str(rules),
+                 "--config", str(cfg)]) == 0
+    assert main(["train", "--tdb", str(tdb), str(model), "--config", str(cfg)]) == 0
+    trained = harc.model_from_json(model.read_bytes()).rules
+    assert fpm.rules_to_csv(trained) == rules.read_bytes()
+    assert all(code % 10 for r in trained for code in r.antecedent)  # no coarse x10 codes
+
+
+def test_classify_manifest_unreadable_image_partial(tmp_path, capsys):
+    man = make_manifest(tmp_path, n=2)
+    write_image(tmp_path / "dark.pgm", np.full((32, 32), 5))
+    man.write_text(man.read_text() + "dark.pgm,normal,train\n")
+    model = tmp_path / "model.json"
+    assert main(["train", "--manifest", str(man), str(model)]) == 0
+    (tmp_path / "broken.pgm").write_bytes(b"P5\n32 32\n255\n")  # no pixel data
+    man.write_text(man.read_text() + "ghost.pgm,normal,test\nbroken.pgm,benign,test\n")
+    pred = tmp_path / "pred.csv"
+    assert main(["classify", str(model), "--manifest", str(man), str(pred)]) == 1
+    err = capsys.readouterr().err
+    assert "ghost.pgm" in err and "broken.pgm" in err
+    rows = pred.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["img0.pgm", "img1.pgm", "dark.pgm"]
 
 
 def test_classify_deterministic_bytes(tmp_path):

@@ -16,7 +16,7 @@ from imgmine.pipeline import detect_edges, image_feature_vectors, image_transact
 from imgmine.raster import BinaryImage, GrayImage
 from imgmine.segment import NO_OBJECT_ITEM, QuantizationModel
 
-from oracles import chamfer_brute, conv2d_clamped
+from oracles import chamfer_brute, conv2d_clamped, flood_fill_labels
 
 
 def gi(a):
@@ -203,6 +203,18 @@ def test_hysteresis_kept_pixels_traceable():
         changed = (grown != reach).any()
         reach = grown
     assert (reach == out).all()
+
+
+def test_hysteresis_matches_flood_fill_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        shape = tuple(int(v) for v in rng.integers(1, 24, size=2))
+        nms = rng.uniform(0, 10, size=shape) * (rng.random(shape) < 0.6)
+        low, high = 3.0, 7.0
+        components = flood_fill_labels(nms >= low, 8)
+        seeded = set(components[nms >= high].tolist())
+        expected = np.isin(components, sorted(seeded - {0}))
+        assert np.array_equal(hysteresis(nms, low, high).bits, expected)
 
 
 # ------------------------------------------------------------------ chamfer

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from imgmine.raster import BinaryImage, GrayImage, PgmError, read_pgm, threshold, write_pgm
+from imgmine.raster import (
+    BinaryImage,
+    GrayImage,
+    PgmError,
+    label_components,
+    read_pgm,
+    threshold,
+    write_pgm,
+)
+
+from oracles import flood_fill_labels
 
 
 def test_read_pgm_minimal():
@@ -78,3 +88,50 @@ def test_invariants_enforced():
         GrayImage(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         BinaryImage(np.zeros((3,)))
+
+
+# ---------------------------------------------------------------- labelling
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_label_components_matches_flood_fill(connectivity):
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        h, w = (int(v) for v in rng.integers(1, 20, size=2))
+        mask = rng.random((h, w)) < rng.uniform(0.1, 0.9)
+        labels = label_components(mask, connectivity)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, flood_fill_labels(mask, connectivity))
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 7)])
+def test_label_components_degenerate_masks(connectivity, shape):
+    rng = np.random.default_rng(32)
+    empty, full = np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)
+    assert not label_components(empty, connectivity).any()
+    assert (label_components(full, connectivity) == 1).all()
+    for _ in range(5):
+        mask = rng.random(shape) < 0.5
+        assert np.array_equal(
+            label_components(mask, connectivity), flood_fill_labels(mask, connectivity)
+        )
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_label_components_matches_scipy(connectivity):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    structure = np.ones((3, 3), dtype=bool) if connectivity == 8 else None
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        mask = rng.random((48, 40)) < rng.uniform(0.2, 0.8)
+        expected, _ = ndimage.label(mask, structure=structure)
+        assert np.array_equal(label_components(mask, connectivity), expected)
+
+
+def test_label_components_connectivity():
+    diagonal = np.eye(3, dtype=bool)
+    assert (label_components(diagonal, 8) == diagonal).all()
+    assert label_components(diagonal, 4).tolist() == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    with pytest.raises(ValueError, match="connectivity"):
+        label_components(diagonal, 6)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from imgmine.prep import dilate, square3
 from imgmine.raster import BinaryImage, GrayImage
 from imgmine.segment import (
     FEATURE_NAMES,
@@ -13,6 +14,7 @@ from imgmine.segment import (
     TdbError,
     Transaction,
     TransactionDB,
+    _fill_holes,
     coarse_item,
     decode_item,
     encode_item,
@@ -23,6 +25,8 @@ from imgmine.segment import (
     read_tdb_csv,
     write_tdb_csv,
 )
+
+from oracles import flood_fill_labels, glcm_counts_brute
 
 
 def gi(a):
@@ -92,6 +96,51 @@ def test_extract_regions_deterministic():
         assert np.array_equal(ra.coords, rb.coords)
 
 
+def oracle_fill_holes(mask):
+    """Fill every 4-connected background component that has no pixel on the border."""
+    background = flood_fill_labels(~mask, 4)
+    h, w = mask.shape
+    out = mask.copy()
+    for n in range(1, background.max() + 1):
+        ys, xs = np.nonzero(background == n)
+        if not ((ys == 0) | (ys == h - 1) | (xs == 0) | (xs == w - 1)).any():
+            out[ys, xs] = True
+    return out
+
+
+def oracle_regions(edges, min_area):
+    """(coords in raster order, bbox) per kept 8-component, in extract_regions order."""
+    labels = flood_fill_labels(oracle_fill_holes(dilate(edges, square3()).bits), 8)
+    regions = []
+    for n in range(1, labels.max() + 1):
+        coords = sorted(zip(*np.nonzero(labels == n)))
+        if len(coords) >= min_area:
+            ys, xs = [y for y, _ in coords], [x for _, x in coords]
+            bbox = (min(ys), min(xs), max(ys), max(xs))
+            regions.append(([[int(y), int(x)] for y, x in coords], bbox))
+    regions.sort(key=lambda r: (r[1][0], r[1][1], len(r[0])))
+    return regions
+
+
+def test_fill_holes_matches_flood_fill_oracle():
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        shape = tuple(int(v) for v in rng.integers(1, 20, size=2))
+        mask = rng.random(shape) < rng.uniform(0.2, 0.8)
+        assert np.array_equal(_fill_holes(mask), oracle_fill_holes(mask))
+
+
+def test_extract_regions_matches_flood_fill_oracle():
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        shape = tuple(int(v) for v in rng.integers(4, 33, size=2))
+        edges = BinaryImage(rng.random(shape) < rng.uniform(0.02, 0.2))
+        min_area = int(rng.choice([1, 5, 25]))
+        img = gi(rng.integers(0, 256, size=shape))
+        got = [(r.coords.tolist(), r.bbox) for r in extract_regions(edges, img, min_area)]
+        assert got == oracle_regions(edges, min_area)
+
+
 def test_extract_regions_dimension_mismatch():
     with pytest.raises(ValueError):
         extract_regions(BinaryImage(np.zeros((4, 4), dtype=bool)), flat(5))
@@ -145,6 +194,30 @@ def test_glcm_entropy_bound():
         assert 0.0 < fv.glcm_homogeneity <= 1.0
 
 
+def test_glcm_matches_brute_force_pair_counts():
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        pixels = rng.integers(0, 256, size=(12, 12))
+        region = region_of(flood_fill_labels(rng.random((12, 12)) < 0.6, 8) == 1)
+        counts = glcm_counts_brute(pixels, region.coords)
+        if counts.sum() == 0:
+            with pytest.raises(ValueError, match="GLCM"):
+                glcm_features(gi(pixels), region)
+            continue
+        p = counts / counts.sum()
+        cells = [(i, j) for i in range(8) for j in range(8)]
+        fv = glcm_features(gi(pixels), region)
+        assert fv.glcm_contrast == pytest.approx(sum((i - j) ** 2 * p[i, j] for i, j in cells))
+        assert fv.glcm_energy == pytest.approx(sum(p[i, j] ** 2 for i, j in cells))
+        assert fv.glcm_homogeneity == pytest.approx(
+            sum(p[i, j] / (1 + abs(i - j)) for i, j in cells)
+        )
+        assert fv.glcm_entropy == pytest.approx(
+            -sum(p[i, j] * math.log2(p[i, j]) for i, j in cells if p[i, j] > 0), abs=1e-12
+        )
+        assert fv.area == region.area
+
+
 def test_glcm_vertical_strip_undefined():
     mask = np.zeros((4, 4), dtype=bool)
     mask[:, 1] = True  # no horizontally adjacent pair
@@ -193,7 +266,7 @@ def test_quantize_clamps_out_of_range():
 
 def test_quantize_missing_range_errors():
     qm = QuantizationModel(ranges={"area": (0.0, 1.0)})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="missing range"):
         quantize(make_fv(), qm)
 
 
