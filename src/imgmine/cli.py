@@ -142,6 +142,7 @@ def _load_quantization(tdb_path, explicit):
     path = Path(explicit) if explicit else Path(str(tdb_path) + ".quant.json")
     if path.exists():
         return QuantizationModel.from_dict(json.loads(path.read_text()))
+    _err(f"warning: no quantization at {path}; the model classifies transactions but not images")
     return QuantizationModel()
 
 

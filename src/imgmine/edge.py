@@ -146,26 +146,18 @@ def hysteresis(nms: np.ndarray, low: float, high: float) -> EdgeMap:
 
 
 def chamfer_manhattan(edges: EdgeMap) -> np.ndarray:
-    """Per-pixel L1 distance to the nearest edge pixel (two-pass transform)."""
+    """Per-pixel L1 distance to the nearest edge pixel.
+
+    L1 distance is separable: forward and backward min passes along the rows,
+    then along the columns, give it exactly, one numpy step per column or row.
+    """
     if not edges.bits.any():
         raise ValueError("chamfer distance undefined: no edge pixels")
     h, w = edges.bits.shape
-    inf = h + w + 1
-    d = np.where(edges.bits, 0, inf).astype(np.int64)
-    for y in range(h):
-        for x in range(w):
-            v = d[y, x]
-            if y > 0:
-                v = min(v, d[y - 1, x] + 1)
-            if x > 0:
-                v = min(v, d[y, x - 1] + 1)
-            d[y, x] = v
-    for y in range(h - 1, -1, -1):
-        for x in range(w - 1, -1, -1):
-            v = d[y, x]
-            if y < h - 1:
-                v = min(v, d[y + 1, x] + 1)
-            if x < w - 1:
-                v = min(v, d[y, x + 1] + 1)
-            d[y, x] = v
+    d = np.where(edges.bits, 0, h + w + 1).astype(np.int64)
+    for lines in (d.T, d):  # along x (d.T[i] is column i), then along y
+        for i in range(1, len(lines)):
+            np.minimum(lines[i], lines[i - 1] + 1, out=lines[i])
+        for i in range(len(lines) - 2, -1, -1):
+            np.minimum(lines[i], lines[i + 1] + 1, out=lines[i])
     return d

@@ -1,10 +1,12 @@
-"""FP-tree construction, top-down maximal frequent itemset mining, class rules."""
+"""FP-tree construction, depth-first maximal frequent itemset mining, class rules."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from .segment import CLASS_ITEMS, ITEM_CLASSES, Transaction, TransactionDB, coarse_item
 
@@ -64,10 +66,12 @@ class FPTree:
         self.rank = {item: i for i, (item, _) in enumerate(header_order)}
         self.entries = {e.item: e for e in self.header}
         self.n_transactions = 0
+        self._tidsets = None
 
     def insert(self, items):
         """Insert one transaction already filtered and sorted in header order."""
         self.n_transactions += 1
+        self._tidsets = None
         node = self.root
         for item in items:
             child = node.children.get(item)
@@ -77,6 +81,22 @@ class FPTree:
                 self.entries[item].append(child)
             child.count += 1
             node = child
+
+    def tidsets(self):
+        """Item -> bitset of the transactions holding it, built once. Transactions are
+        numbered in preorder, each node taking those that end at it (its count minus its
+        children's), so the node.count transactions through a node are consecutive bits."""
+        if self._tidsets is None:
+            bits = {entry.item: 0 for entry in self.header}
+            pos = 0
+            stack = list(self.root.children.values())
+            while stack:
+                node = stack.pop()
+                bits[node.name] |= ((1 << node.count) - 1) << pos
+                pos += node.count - sum(child.count for child in node.children.values())
+                stack.extend(node.children.values())
+            self._tidsets = bits
+        return self._tidsets
 
 
 def frequent_items(db: TransactionDB, minsup_count: int):
@@ -115,67 +135,45 @@ def itemset_support(tree: FPTree, itemset) -> int:
     )
 
 
-def _path_seeds(tree: FPTree):
-    """Item sets of all root-to-leaf paths; every transaction is a prefix of one."""
-    seeds = set()
-    stack = [(tree.root, frozenset())]
-    while stack:
-        node, items = stack.pop()
-        if node.name is not None:
-            items = items | {node.name}
-        if node.children:
-            for child in node.children.values():
-                stack.append((child, items))
-        elif items:
-            seeds.add(items)
-    return seeds
-
-
 def mine_mfi(tree: FPTree, L, minsup_count: int):
-    """Top-down maximal frequent itemset search over the candidate frontier.
+    """Depth-first maximal frequent itemset search over the tree's transaction bitsets.
 
-    The frontier starts from the tree's root-to-leaf path itemsets (any
-    frequent itemset lies inside some transaction, hence inside some path);
-    an infrequent candidate is expanded into its (k-1)-subsets, and anything
-    covered by an accepted maximal set is pruned. Candidates are processed
-    largest first so acceptance implies maximality.
+    A search node is a head itemset and its tail: the later items whose union
+    with the head is frequent, in ascending order of that support. A node whose
+    head ∪ tail lies in a maximal set already found is pruned; a frequent
+    head ∪ tail is accepted without visiting the subtree. Children go in tail
+    order, so a set's frequent supersets are found before it. Each returned
+    set's support is recounted once with itemset_support.
     """
-    items = [item for item, _ in L]
-    if not items:
-        return set()
-    mfi = []
-    support_cache = {}
+    found = {}  # maximal itemset -> support
 
-    def support(s):
-        v = support_cache.get(s)
-        if v is None:
-            v = itemset_support(tree, s)
-            support_cache[s] = v
-        return v
+    def search(head, head_bits, candidates):
+        tail = [(item, head_bits & b) for item, b in candidates]
+        tail = [e for e in tail if e[1].bit_count() >= minsup_count]
+        tail.sort(key=lambda e: e[1].bit_count())
+        hut = head.union(item for item, _ in tail)
+        if any(hut <= m for m in found):
+            return
+        support = reduce(and_, (b for _, b in tail), head_bits).bit_count()
+        if support >= minsup_count:
+            found[hut] = support
+            return
+        for k, (item, item_bits) in enumerate(tail):
+            search(head | {item}, item_bits, tail[k + 1 :])
 
-    frontier = {}
-    for seed in _path_seeds(tree):
-        frontier.setdefault(len(seed), set()).add(seed)
-    size = max(frontier, default=0)
-    while size > 0:
-        candidates = sorted(frontier.pop(size, ()), key=sorted)
-        for cand in candidates:
-            if any(cand <= m for m in mfi):
-                continue
-            if support(cand) >= minsup_count:
-                mfi.append(cand)
-            elif size > 1:
-                bucket = frontier.setdefault(size - 1, set())
-                for item in cand:
-                    sub = cand - {item}
-                    if not any(sub <= m for m in mfi):
-                        bucket.add(sub)
-        size -= 1
-    return set(mfi)
+    if L:
+        bits = tree.tidsets()
+        search(frozenset(), (1 << tree.n_transactions) - 1, [(item, bits[item]) for item, _ in L])
+    for m, support in found.items():
+        if itemset_support(tree, m) != support:
+            raise RuntimeError(f"support counts of {sorted(m)} disagree")
+    return set(found)
 
 
 def frequent_closure(mfi, tree: FPTree):
-    """Expand maximal sets into the complete frequent family with supports."""
+    """Expand maximal sets into the complete frequent family, counting each
+    support as the popcount of the AND of its items' transaction bitsets."""
+    bits = tree.tidsets()
     seen = {}
     for m in mfi:
         items = sorted(m)
@@ -183,7 +181,7 @@ def frequent_closure(mfi, tree: FPTree):
         for mask in range(1, 1 << n):
             s = frozenset(items[i] for i in range(n) if mask >> i & 1)
             if s not in seen:
-                seen[s] = itemset_support(tree, s)
+                seen[s] = reduce(and_, (bits[i] for i in s)).bit_count()
     return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
 

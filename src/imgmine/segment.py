@@ -128,10 +128,11 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
         raise ValueError("region is empty")
     ys, xs = region.coords[:, 0], region.coords[:, 1]
     vals = img.pixels[ys, xs].astype(np.float64)
-    levels = (img.pixels.astype(np.int32) * GLCM_LEVELS) // 256
+    y0, x0, y1, x1 = region.bbox
+    levels = (img.pixels[y0 : y1 + 1, x0 : x1 + 1].astype(np.int32) * GLCM_LEVELS) // 256
 
     inside = np.zeros(levels.shape, dtype=bool)
-    inside[ys, xs] = True
+    inside[ys - y0, xs - x0] = True
     pair = inside[:, :-1] & inside[:, 1:]  # (y, x) and (y, x + 1) both in the region
     i, j = levels[:, :-1][pair], levels[:, 1:][pair]
     counts = np.zeros((GLCM_LEVELS, GLCM_LEVELS), dtype=np.float64)

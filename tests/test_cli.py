@@ -7,7 +7,14 @@ import pytest
 from imgmine import fpm, harc
 from imgmine.cli import main
 from imgmine.raster import read_pgm, write_pgm, GrayImage
-from imgmine.segment import Transaction, TransactionDB, read_tdb_csv, write_tdb_csv
+from imgmine.segment import (
+    CLASSES,
+    Transaction,
+    TransactionDB,
+    encode_item,
+    read_tdb_csv,
+    write_tdb_csv,
+)
 
 TDB_HEADER = b"tid,label,items\n"
 
@@ -29,6 +36,23 @@ def labeled_tdb():
     for label, items in groups:
         for i in range(10):
             rows.append(Transaction(tid=f"{label}{i}", items=items, label=label))
+    return write_tdb_csv(TransactionDB(transactions=rows))
+
+
+def dense_labeled_tdb(seed=11, n=150):
+    """Seeded labelled TDB: 1-2 regions a row, six feature items each, most at the class profile."""
+    rng = np.random.default_rng(seed)
+    profile = {"normal": (1, 1, 1, 4, 4, 1), "benign": (3, 3, 3, 2, 2, 3),
+               "malignant": (4, 4, 4, 1, 1, 4)}
+    rows = []
+    for i in range(n):
+        label = CLASSES[i % len(CLASSES)]
+        items = set()
+        for _ in range(1 + (i // len(CLASSES)) % 2):
+            for feature, typical in enumerate(profile[label], start=1):
+                fine = typical if rng.random() < 0.7 else int(rng.integers(1, 5))
+                items.add(encode_item(feature, fine))
+        rows.append(Transaction(tid=f"t{i:03d}", items=tuple(sorted(items)), label=label))
     return write_tdb_csv(TransactionDB(transactions=rows))
 
 
@@ -236,21 +260,39 @@ def test_train_manifest_unreadable_image_partial(tmp_path, capsys):
     assert harc.model_from_json(model.read_bytes()).tree is not None
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_readme_chain_artifact_digests(tmp_path):
-    """TDB and prediction bytes of the README chain (synth seed 42, corpus config)."""
+    """Artifact bytes of the README chain (synth seed 42, corpus config)."""
     corpus = tmp_path / "corpus"
     assert main(["synth", str(corpus), "--seed", "42"]) == 0
     man, cfg = str(corpus / "manifest.csv"), str(corpus / "config.json")
     tdb, model, pred = tmp_path / "tdb.csv", tmp_path / "model.json", tmp_path / "pred.csv"
+    mfi, rules = tmp_path / "mfi.csv", tmp_path / "rules.csv"
     assert main(["features", man, str(tdb), "--config", cfg]) == 0
+    assert main(["mine", str(tdb), "--mfi", str(mfi), "--rules", str(rules), "--config", cfg]) == 0
     assert main(["train", "--tdb", str(tdb), str(model), "--config", cfg]) == 0
     assert main(["classify", str(model), "--manifest", man, str(pred), "--config", cfg]) == 0
-    assert hashlib.sha256(tdb.read_bytes()).hexdigest() == (
-        "1795f3d3234fe691dd3f38f9637e9a545e8ab57ccaa2d761950f532eecf2cf40"
-    )
-    assert hashlib.sha256(pred.read_bytes()).hexdigest() == (
-        "67ddf2ac7037d100bb868a67018d9680f6f0a22d9f991a4ac12b965b8232e03a"
-    )
+    assert sha256(tdb) == "1795f3d3234fe691dd3f38f9637e9a545e8ab57ccaa2d761950f532eecf2cf40"
+    assert sha256(mfi) == "b065f349758703b6ab5c33ac083517cef1a952b558a7d7bea27d3c295c176fec"
+    assert sha256(rules) == "4018328928973404e3a93dcf99d8f490a4d02359f7502c3c11fdf94dd73dc19a"
+    assert sha256(model) == "eb33d4dc4bcf1df122bbe7aa0955e453825f74213e50eee7986be754c74decce"
+    assert sha256(pred) == "67ddf2ac7037d100bb868a67018d9680f6f0a22d9f991a4ac12b965b8232e03a"
+
+
+def test_dense_tdb_mining_artifact_digests(tmp_path):
+    """MFI, rules and model bytes of a dense 150-row TDB at minsup 0.10, minconf 0.6."""
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(dense_labeled_tdb())
+    mfi, rules, model = tmp_path / "mfi.csv", tmp_path / "rules.csv", tmp_path / "model.json"
+    thresholds = ["--minsup", "0.1", "--minconf", "0.6"]
+    assert main(["mine", str(tdb), "--mfi", str(mfi), "--rules", str(rules), *thresholds]) == 0
+    assert main(["train", "--tdb", str(tdb), str(model), *thresholds]) == 0
+    assert sha256(mfi) == "fc61f4eaaf806c133365ccae44b495b3800822c4c86682f8eecf7d49b3699e7f"
+    assert sha256(rules) == "20fcd9c9db01c60e2e504f38a041b9b553bc4ad90c3dd41baf87fbcf751e807c"
+    assert sha256(model) == "c921e42334221772fbd0a8c7df0a9e19a2b363e8bb610f4bd00068261b72e0de"
 
 
 # --------------------------------------------------------------------- mine
@@ -274,6 +316,22 @@ def test_mine_labeled_tdb_writes_rules(tmp_path):
 
 
 # ------------------------------------------------------- train and classify
+
+
+def test_train_tdb_without_quantization_warns(tmp_path, capsys):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(labeled_tdb())
+    model = tmp_path / "model.json"
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "warning" in err and "not images" in err and "t.csv.quant.json" in err
+    quant = tmp_path / "t.csv.quant.json"
+    quant.write_text("{}")
+    warned = model.read_bytes()
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 0
+    assert capsys.readouterr().err == ""
+    assert model.read_bytes() == warned
 
 
 def test_train_classify_evaluate_round_trip(tmp_path, capsys):

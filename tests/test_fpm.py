@@ -165,6 +165,56 @@ def test_mfi_random_oracle_equivalence():
         assert dict(closure) == fam
 
 
+def assert_family_matches_oracle(db, minsup):
+    fam = frequent_family([t.items for t in db.transactions], minsup)
+    _, _, mfi, closure = mine_frequent_family(db, minsup)
+    assert mfi == maximal_sets(fam)
+    assert dict(closure) == fam
+
+
+@pytest.mark.parametrize(
+    "rows, minsup",
+    [
+        # duplicate transactions: one path, every count > 1
+        ([(1, 2, 3)] * 3 + [(2, 4)] * 2 + [(1, 2, 3)], 2),
+        # (1,) and (1, 2) are strict header-order prefixes of (1, 2, 3): they end at internal nodes
+        ([(1, 2, 3), (1, 2, 3), (1, 2), (1,), (2, 3)], 2),
+        # (7, 8) has only infrequent items, so it ends at the root
+        ([(1, 2), (1, 2), (7, 8), (1, 3), (3,)], 2),
+        # head ∪ tail lookahead: the root's whole tail is one frequent set
+        ([(1, 2, 3, 4, 5)] * 3, 3),
+        # {1, 3} lies inside the earlier-found {1, 2, 3}: the covered-node prune
+        ([(1, 2, 3), (1, 2, 3), (1, 4), (1, 4)], 2),
+        # disjoint items: each maximal set is a leaf with an empty tail
+        ([(1,), (1,), (2,), (2,), (3,)], 2),
+    ],
+)
+def test_mfi_search_branches_match_oracle(rows, minsup):
+    assert_family_matches_oracle(db_of(*rows), minsup)
+
+
+def test_mfi_dense_random_oracle_equivalence():
+    rng = np.random.default_rng(45)
+    for _ in range(40):
+        db = random_db(rng, max_items=14, max_transactions=60)
+        assert_family_matches_oracle(db, int(rng.integers(2, 6)))
+
+
+def test_tidsets_count_item_supports():
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        db = random_db(rng, max_items=14, max_transactions=60)
+        tree = build_fp_tree(db, frequent_items(db, 2))
+        bits = tree.tidsets()
+        assert sorted(bits) == sorted(e.item for e in tree.header)
+        for entry in tree.header:
+            assert bits[entry.item].bit_count() == entry.support
+        everything = 0
+        for b in bits.values():
+            everything |= b
+        assert everything.bit_length() <= tree.n_transactions
+
+
 # --------------------------------------------------------- frequent_closure
 
 

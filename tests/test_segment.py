@@ -196,9 +196,13 @@ def test_glcm_entropy_bound():
 
 def test_glcm_matches_brute_force_pair_counts():
     rng = np.random.default_rng(26)
-    for _ in range(40):
-        pixels = rng.integers(0, 256, size=(12, 12))
-        region = region_of(flood_fill_labels(rng.random((12, 12)) < 0.6, 8) == 1)
+    for k in range(44):
+        # the last cases put a 12x12 patch far from the origin of a 64x80 image
+        y0, x0 = (0, 0) if k < 40 else (int(rng.integers(30, 52)), int(rng.integers(40, 68)))
+        pixels = rng.integers(0, 256, size=(64, 80) if k >= 40 else (12, 12))
+        patch = np.zeros(pixels.shape, dtype=bool)
+        patch[y0 : y0 + 12, x0 : x0 + 12] = rng.random((12, 12)) < 0.6
+        region = region_of(flood_fill_labels(patch, 8) == 1)
         counts = glcm_counts_brute(pixels, region.coords)
         if counts.sum() == 0:
             with pytest.raises(ValueError, match="GLCM"):
