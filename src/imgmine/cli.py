@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -17,6 +18,8 @@ from .segment import (
     QuantizationModel,
     TdbError,
     TransactionDB,
+    csv_lines,
+    csv_text,
     image_to_transaction,
     quantize,  # noqa: F401  unused here; perfbench/tests/test_bench_trace.py wraps this binding
     read_tdb_csv,
@@ -48,7 +51,7 @@ def _config_from_args(args):
             overrides[key] = getattr(args, key)
     if getattr(args, "no_equalize", False):
         overrides["equalize"] = False
-    return load_config(getattr(args, "config", None), overrides)
+    return load_config(args.config, overrides)
 
 
 def cmd_preprocess(args) -> int:
@@ -125,7 +128,7 @@ def cmd_mine(args) -> int:
     minsup = Fraction(cfg.minsup).limit_denominator(10**9)
     count = fpm.minsup_fraction_to_count(minsup, len(db)) if len(db) else 1
     per_level = {}
-    for level, (mfi, freq) in fpm.mine_levels(db, count, cfg.levels).items():
+    for level, (mfi, freq) in fpm.mine_levels(db, count).items():
         supports = dict(freq)
         per_level[level] = [(tuple(sorted(m)), supports[m]) for m in mfi]
     Path(args.mfi).write_bytes(_mfi_csv(per_level))
@@ -133,7 +136,7 @@ def cmd_mine(args) -> int:
         if all(t.label is None for t in db.transactions):
             _err("rules requested but the transaction database has no labels")
             return EXIT_SEMANTIC
-        rules, _ = fpm.mine_class_rules(db, cfg.minsup, cfg.minconf, levels=cfg.levels)
+        rules, _ = fpm.mine_class_rules(db, cfg.minsup, cfg.minconf)
         Path(args.rules).write_bytes(fpm.rules_to_csv(rules))
     return EXIT_OK
 
@@ -156,13 +159,7 @@ def cmd_train(args) -> int:
         manifest = read_manifest(args.manifest)
         db, qm, failed = _manifest_tdb(manifest, manifest.split("train"), cfg)
     model = harc.train(
-        db,
-        minsup=Fraction(cfg.minsup).limit_denominator(10**9),
-        minconf=Fraction(cfg.minconf).limit_denominator(10**9),
-        attribute_cap=cfg.attribute_cap,
-        quantization=qm,
-        min_area=cfg.min_area,
-        levels=cfg.levels,
+        db, minsup=cfg.minsup, minconf=cfg.minconf, quantization=qm, min_area=cfg.min_area
     )
     Path(args.output).write_bytes(harc.model_to_json(model))
     return EXIT_PARTIAL if failed else EXIT_OK
@@ -202,9 +199,7 @@ def cmd_classify(args) -> int:
             t = pipeline.image_transaction(img, cfg, model.quantization, tid=name)
             label, fired = harc.classify(model, t)
             rows.append((name, label, len(fired)))
-    lines = ["path,predicted,fired_rule_count"]
-    lines.extend(f"{p},{lab},{n}" for p, lab, n in rows)
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    Path(args.output).write_text(csv_text("path,predicted,fired_rule_count", rows))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -216,12 +211,10 @@ def cmd_evaluate(args) -> int:
         for e in manifest.entries
         if wanted is None or e.split == wanted
     }
-    pred_lines = Path(args.predictions).read_text().splitlines()
     pairs = []
-    for lineno, line in enumerate(pred_lines, start=1):
-        if not line.strip() or (lineno == 1 and line.startswith("path,")):
+    for lineno, line, parts in csv_lines(Path(args.predictions).read_text()):
+        if lineno == 1 and line.startswith("path,"):
             continue
-        parts = line.split(",")
         if len(parts) != 3 or parts[1] not in CLASSES:
             _err(f"{args.predictions}:{lineno}: bad prediction row")
             return EXIT_SEMANTIC
@@ -251,16 +244,25 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
+SETTING_FLAGS = {
+    "--sigma": {"type": float},
+    "--canny-low": {"type": float},
+    "--canny-high": {"type": float},
+    "--min-area": {"type": int},
+    "--no-equalize": {"action": "store_true"},
+    "--minsup": {"type": float},
+    "--minconf": {"type": float},
+    "--seed": {"type": int},
+}
+IMAGE_FLAGS = ("--sigma", "--canny-low", "--canny-high", "--min-area", "--no-equalize")
+MINING_FLAGS = ("--minsup", "--minconf")
+
+
+def _add_settings(p, flags):
+    """--config plus the setting flags this command reads; flags override the file."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--canny-low", dest="canny_low", type=float)
-    p.add_argument("--canny-high", dest="canny_high", type=float)
-    p.add_argument("--min-area", dest="min_area", type=int)
-    p.add_argument("--minsup", type=float)
-    p.add_argument("--minconf", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--no-equalize", dest="no_equalize", action="store_true")
+    for flag in flags:
+        p.add_argument(flag, **SETTING_FLAGS[flag])
 
 
 def build_parser():
@@ -272,21 +274,21 @@ def build_parser():
     p.add_argument("output")
     p.add_argument("--avg-hist", help="JSON file holding 256 average-histogram counts")
     p.add_argument("--dump-dir", help="write stage1..4 intermediate PGMs here")
-    _add_common(p)
+    _add_settings(p, ("--no-equalize",))
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("features", help="manifest -> transaction database CSV")
     p.add_argument("manifest")
     p.add_argument("output")
     p.add_argument("--quant-out", help="where to write learned quantization ranges")
-    _add_common(p)
+    _add_settings(p, IMAGE_FLAGS)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("mine", help="mine maximal itemsets and class rules from a TDB")
     p.add_argument("tdb")
     p.add_argument("--mfi", required=True, help="output CSV of maximal frequent itemsets")
     p.add_argument("--rules", help="output CSV of class association rules")
-    _add_common(p)
+    _add_settings(p, MINING_FLAGS)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="train the hybrid rule/tree classifier")
@@ -295,7 +297,7 @@ def build_parser():
     src.add_argument("--manifest")
     p.add_argument("--quant", help="quantization JSON (with --tdb)")
     p.add_argument("output")
-    _add_common(p)
+    _add_settings(p, IMAGE_FLAGS + MINING_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="classify images or transactions with a model")
@@ -305,7 +307,7 @@ def build_parser():
     src.add_argument("--image")
     src.add_argument("--tdb")
     p.add_argument("output")
-    _add_common(p)
+    _add_settings(p, IMAGE_FLAGS)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="join predictions with manifest labels")
@@ -319,7 +321,7 @@ def build_parser():
     p.add_argument("out_dir")
     p.add_argument("--per-class", type=int, default=20)
     p.add_argument("--train-frac", type=float, default=0.7)
-    _add_common(p)
+    _add_settings(p, ("--seed",))
     p.set_defaults(func=cmd_synth)
 
     return ap
@@ -332,7 +334,8 @@ def main(argv=None) -> int:
     except (FileNotFoundError, OSError, PgmError) as exc:
         _err(str(exc))
         return EXIT_IO
-    except (TdbError, ManifestError, ConfigError, ValueError) as exc:
+    except (TdbError, ManifestError, ConfigError, ValueError, csv.Error,
+            metrics.UndefinedMetricError) as exc:
         _err(str(exc))
         return EXIT_SEMANTIC
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .segment import CLASSES
+from .segment import CLASSES, csv_lines, csv_text
 
 
 class ConfigError(ValueError):
@@ -25,12 +26,9 @@ class PipelineConfig:
     # 0.1 / 0.25 of its own maximum gradient magnitude.
     canny_low: Optional[float] = None
     canny_high: Optional[float] = None
-    magnitude_mode: str = "exact"
     min_area: int = 25
     minsup: float = 0.10
     minconf: float = 0.97
-    levels: int = 2
-    attribute_cap: int = 64
     equalize: bool = True
     seed: int = 42
 
@@ -43,6 +41,8 @@ class PipelineConfig:
             kind = (int, float) if default is None or isinstance(default, float) else type(default)
             if not isinstance(value, kind) or isinstance(value, bool) != isinstance(default, bool):
                 raise ConfigError(f"config value {f.name}={value!r} has the wrong type")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"config value {f.name}={value!r} is not finite")
         if not 0 < self.minsup <= 1:
             raise ConfigError("minsup must lie in (0, 1]")
         if not 0 < self.minconf <= 1:
@@ -51,8 +51,6 @@ class PipelineConfig:
             raise ConfigError("sigma must be > 0")
         if self.min_area < 1:
             raise ConfigError("min_area must be >= 1")
-        if self.magnitude_mode not in ("exact", "manhattan-approx"):
-            raise ConfigError(f"unknown magnitude mode {self.magnitude_mode!r}")
         if (self.canny_low is None) != (self.canny_high is None):
             raise ConfigError("set both canny_low and canny_high or neither")
         if self.canny_low is not None and not 0 <= self.canny_low <= self.canny_high:
@@ -69,6 +67,8 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
             raise ConfigError(f"no such config file: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config JSON in {path}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         known = {f.name for f in fields(PipelineConfig)}
         unknown = set(doc) - known
         if unknown:
@@ -124,12 +124,9 @@ def read_manifest(path) -> Manifest:
     except FileNotFoundError:
         raise ManifestError(f"no such manifest: {path}") from None
     entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line, parts in csv_lines(text):
         if lineno == 1 and line.strip() == MANIFEST_HEADER:
             continue
-        parts = line.split(",")
         if len(parts) != 3:
             raise ManifestError(f"{path}:{lineno}: expected 'path,label,split'")
         p, label, split = (s.strip() for s in parts)
@@ -138,7 +135,4 @@ def read_manifest(path) -> Manifest:
 
 
 def write_manifest(manifest: Manifest) -> str:
-    lines = [MANIFEST_HEADER]
-    for e in manifest.entries:
-        lines.append(f"{e.path},{e.label or ''},{e.split}")
-    return "\n".join(lines) + "\n"
+    return csv_text(MANIFEST_HEADER, ((e.path, e.label or "", e.split) for e in manifest.entries))

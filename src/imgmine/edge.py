@@ -59,23 +59,14 @@ def conv1d_replicate(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray
     return win @ kernel[::-1]  # convolution == correlation with reversed kernel
 
 
-def magnitude(gx, gy, mode: str = "exact"):
-    """Gradient magnitude: euclidean, or |gx|+|gy| when speed matters."""
-    if mode == "exact":
-        return np.sqrt(np.square(gx) + np.square(gy))
-    if mode == "manhattan-approx":
-        return np.abs(gx) + np.abs(gy)
-    raise ValueError(f"unknown magnitude mode {mode!r}")
-
-
-def gradients(img: GrayImage, sigma: float, mode: str = "exact") -> GradientField:
-    """Separable derivative-of-Gaussian gradients (x = column, y = row)."""
+def gradients(img: GrayImage, sigma: float) -> GradientField:
+    """Separable derivative-of-Gaussian gradients (x = column, y = row), euclidean magnitude."""
     a = img.pixels.astype(np.float64)
     g = gaussian_kernel_1d(sigma)
     d = gaussian_deriv_kernel_1d(sigma)
     gx = conv1d_replicate(conv1d_replicate(a, d, axis=1), g, axis=0)
     gy = conv1d_replicate(conv1d_replicate(a, g, axis=1), d, axis=0)
-    mag = magnitude(gx, gy, mode)
+    mag = np.sqrt(np.square(gx) + np.square(gy))
     # On a flat patch the derivative is zero only up to float rounding (~1e-13
     # for 8-bit input); snap that residue to an exact 0 so it is never an edge.
     mag[mag < FLAT_MAGNITUDE] = 0.0

@@ -222,20 +222,14 @@ def mine_frequent_family(db: TransactionDB, minsup_count: int):
     return L, tree, mfi, frequent_closure(mfi, tree)
 
 
-def mine_levels(db: TransactionDB, minsup_count: int, levels: int = 2):
-    """Mine each hierarchy level of db; returns {level: (MFI, frequent family)}.
+def mine_levels(db: TransactionDB, minsup_count: int):
+    """Mine both hierarchy levels of db; returns {level: (MFI, frequent family)}.
 
-    Level 2 holds the fine codes; level 1, mined when levels >= 2, their coarse
-    parents. Both the mine command and mine_class_rules go through here.
+    Level 2 holds the fine codes, level 1 their coarse parents, in that order.
+    Both the mine command and mine_class_rules go through here.
     """
-    level_dbs = {2: db}
-    if levels >= 2:
-        level_dbs[1] = coarse_collapsed(db)
-    out = {}
-    for level, ldb in level_dbs.items():
-        _, _, mfi, freq = mine_frequent_family(ldb, minsup_count)
-        out[level] = (mfi, freq)
-    return out
+    level_dbs = ((2, db), (1, coarse_collapsed(db)))
+    return {level: mine_frequent_family(ldb, minsup_count)[2:] for level, ldb in level_dbs}
 
 
 def generate_rules(freq, db: TransactionDB, minsup: Fraction, minconf: Fraction):
@@ -279,8 +273,8 @@ def minsup_fraction_to_count(minsup: Fraction, n_transactions: int) -> int:
     return max(1, math.ceil(minsup * n_transactions))
 
 
-def mine_class_rules(db: TransactionDB, minsup, minconf, levels: int = 2):
-    """Mine rules at the fine level and (optionally) the coarse-collapsed level.
+def mine_class_rules(db: TransactionDB, minsup, minconf):
+    """Mine rules at the fine level and the coarse-collapsed level.
 
     Returns (rules, mfi_per_level) where mfi_per_level maps level -> set of
     frozensets (level 2 = fine codes, level 1 = coarse codes).
@@ -291,7 +285,7 @@ def mine_class_rules(db: TransactionDB, minsup, minconf, levels: int = 2):
     count = minsup_fraction_to_count(minsup, len(labeled))
     mfi_per_level = {}
     merged = {}
-    for level, (mfi, freq) in mine_levels(labeled, count, levels).items():
+    for level, (mfi, freq) in mine_levels(labeled, count).items():
         mfi_per_level[level] = mfi
         # The coarse database has the same rows and labels, so |D| is shared.
         for rule in generate_rules(freq, labeled, minsup, minconf):

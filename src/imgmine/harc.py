@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -156,16 +156,15 @@ def train(
     attribute_cap: int = DEFAULT_ATTRIBUTE_CAP,
     quantization: Optional[QuantizationModel] = None,
     min_area: int = 25,
-    levels: int = 2,
 ) -> HarcModel:
-    """Mine class rules (at `levels` hierarchy levels), build rule attributes, induce the tree."""
+    """Mine class rules at both hierarchy levels, build rule attributes, induce the tree."""
     labeled = [t for t in db.transactions if t.label is not None]
     if not labeled:
         raise ValueError("training requires labeled transactions")
     classes = {t.label for t in labeled}
     if len(classes) < 2:
         raise ValueError("training requires at least two classes")
-    rules, _ = mine_class_rules(db, minsup, minconf, levels=levels)
+    rules, _ = mine_class_rules(db, minsup, minconf)
 
     attrs = []
     seen = set()
@@ -202,13 +201,22 @@ def _tree_to_dict(node):
     }
 
 
-def _tree_from_dict(d):
+def _known_class(label):
+    if label not in CLASSES:
+        raise ValueError(f"unknown class {label!r}")
+    return label
+
+
+def _tree_from_dict(d, n_attributes):
     if "leaf" in d:
-        return Leaf(label=d["leaf"], distribution=dict(d["distribution"]))
+        return Leaf(label=_known_class(d["leaf"]), distribution=dict(d["distribution"]))
+    attribute = int(d["attribute"])
+    if not 0 <= attribute < n_attributes:
+        raise ValueError(f"split on attribute {attribute}; the model has {n_attributes}")
     return Split(
-        attribute=int(d["attribute"]),
-        on_true=_tree_from_dict(d["true"]),
-        on_false=_tree_from_dict(d["false"]),
+        attribute=attribute,
+        on_true=_tree_from_dict(d["true"], n_attributes),
+        on_false=_tree_from_dict(d["false"], n_attributes),
     )
 
 
@@ -260,10 +268,10 @@ def model_from_json(data: bytes) -> HarcModel:
         return HarcModel(
             rules=rules,
             attributes=attributes,
-            tree=_tree_from_dict(doc["tree"]),
+            tree=_tree_from_dict(doc["tree"], len(attributes)),
             quantization=QuantizationModel.from_dict(doc["quantization"]),
-            default_class=doc["default_class"],
+            default_class=_known_class(doc["default_class"]),
             min_area=int(doc.get("min_area", 25)),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model: {type(exc).__name__}: {exc}") from None

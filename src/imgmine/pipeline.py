@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .config import PipelineConfig
 from .edge import gradients, hysteresis, non_max_suppress
-from .prep import align_peak, equalize, median3x3
+from .prep import equalize, median3x3
 from .raster import EdgeMap, GrayImage
 from .segment import (
     QuantizationModel,
@@ -18,19 +18,14 @@ RELATIVE_LOW_FRAC = 0.1
 RELATIVE_HIGH_FRAC = 0.25
 
 
-def preprocess_image(img: GrayImage, cfg: PipelineConfig, avg_hist=None) -> GrayImage:
-    """equalize -> peak alignment (when an average histogram is given) -> median."""
-    out = img
-    if cfg.equalize:
-        out = equalize(out)
-    if avg_hist is not None:
-        out = align_peak(out, avg_hist)
-    return median3x3(out)
+def preprocess_image(img: GrayImage, cfg: PipelineConfig) -> GrayImage:
+    """equalize (unless the config turns it off) -> median."""
+    return median3x3(equalize(img) if cfg.equalize else img)
 
 
 def detect_edges(img: GrayImage, cfg: PipelineConfig) -> EdgeMap:
     """Canny with configured absolute thresholds, or per-image relative defaults."""
-    field = gradients(img, cfg.sigma, cfg.magnitude_mode)
+    field = gradients(img, cfg.sigma)
     if cfg.canny_low is not None:
         low, high = cfg.canny_low, cfg.canny_high
     else:
@@ -39,9 +34,9 @@ def detect_edges(img: GrayImage, cfg: PipelineConfig) -> EdgeMap:
     return hysteresis(non_max_suppress(field), low, high)
 
 
-def image_feature_vectors(img: GrayImage, cfg: PipelineConfig, avg_hist=None):
+def image_feature_vectors(img: GrayImage, cfg: PipelineConfig):
     """Preprocess, detect edges and return the per-region feature vectors."""
-    pre = preprocess_image(img, cfg, avg_hist)
+    pre = preprocess_image(img, cfg)
     edges = detect_edges(pre, cfg)
     fvs = []
     for region in extract_regions(edges, pre, min_area=cfg.min_area):
@@ -53,12 +48,6 @@ def image_feature_vectors(img: GrayImage, cfg: PipelineConfig, avg_hist=None):
 
 
 def image_transaction(
-    img: GrayImage,
-    cfg: PipelineConfig,
-    qm: QuantizationModel,
-    tid: str,
-    label=None,
-    avg_hist=None,
+    img: GrayImage, cfg: PipelineConfig, qm: QuantizationModel, tid: str, label=None
 ) -> Transaction:
-    fvs = image_feature_vectors(img, cfg, avg_hist)
-    return image_to_transaction(fvs, qm, tid, label=label)
+    return image_to_transaction(image_feature_vectors(img, cfg), qm, tid, label=label)

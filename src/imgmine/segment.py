@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,12 +84,6 @@ class TransactionDB:
 
     def __len__(self):
         return len(self.transactions)
-
-    def item_universe(self):
-        u = set()
-        for t in self.transactions:
-            u.update(t.items)
-        return u
 
 
 def _fill_holes(mask: np.ndarray) -> np.ndarray:
@@ -179,7 +175,10 @@ class QuantizationModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(ranges={name: (float(v[0]), float(v[1])) for name, v in d.items()})
+        try:
+            return cls(ranges={name: (float(lo), float(hi)) for name, (lo, hi) in d.items()})
+        except (AttributeError, OverflowError, TypeError, ValueError):
+            raise ValueError("quantization must map each feature to [min, max]") from None
 
 
 def _fine_bin(value: float, lo: float, hi: float) -> int:
@@ -237,26 +236,36 @@ def image_to_transaction(
     return Transaction(tid=tid, items=tuple(sorted(items or {NO_OBJECT_ITEM})), label=label)
 
 
+def csv_lines(text: str):
+    """(line number, line, CSV fields) of each non-blank line; a quoted field may hold commas."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield lineno, line, next(csv.reader([line]))
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then one CSV line per row; a field holding a comma is quoted."""
+    out = io.StringIO()
+    out.write(header + "\n")
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 TDB_HEADER = "tid,label,items"
 
 
 def write_tdb_csv(db: TransactionDB) -> bytes:
-    lines = [TDB_HEADER]
-    for t in db.transactions:
-        lines.append(f"{t.tid},{t.label or ''},{';'.join(str(i) for i in t.items)}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    rows = ((t.tid, t.label or "", ";".join(str(i) for i in t.items)) for t in db.transactions)
+    return csv_text(TDB_HEADER, rows).encode("utf-8")
 
 
 def read_tdb_csv(data: bytes) -> TransactionDB:
     text = data.decode("utf-8")
     transactions = []
     seen = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line, parts in csv_lines(text):
         if lineno == 1 and line.strip() == TDB_HEADER:
             continue
-        parts = line.split(",")
         if len(parts) != 3:
             raise TdbError(f"line {lineno}: expected 'tid,label,items'")
         tid, label, items_str = parts

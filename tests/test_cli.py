@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from imgmine import fpm, harc
-from imgmine.cli import main
+from imgmine.cli import build_parser, main
+from imgmine.config import read_manifest, write_manifest
 from imgmine.raster import read_pgm, write_pgm, GrayImage
 from imgmine.segment import (
     CLASSES,
@@ -120,7 +121,12 @@ def test_malformed_model_exits_4(tmp_path):
     no_rules = dict(doc)
     del no_rules["rules"]
     bad_type = dict(doc, rules=[dict(r, support="half") for r in doc["rules"]])
-    for broken in (no_rules, bad_type):
+    assert "attribute" in doc["tree"] and '"leaf": "benign"' in json.dumps(doc)
+    out_of_range = dict(doc, tree=dict(doc["tree"], attribute=len(doc["attributes"])))
+    negative = dict(doc, tree=dict(doc["tree"], attribute=-1))
+    unknown_leaf = json.loads(json.dumps(doc).replace('"leaf": "benign"', '"leaf": "cancer"'))
+    unknown_default = dict(doc, default_class="cancer")
+    for broken in (no_rules, bad_type, out_of_range, negative, unknown_leaf, unknown_default):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(broken))
         assert main(["classify", str(model), "--tdb", str(tdb), str(tmp_path / "p.csv")]) == 4
@@ -134,13 +140,74 @@ def test_config_value_of_wrong_type_exits_3(tmp_path):
     assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--config", str(cfg)]) == 3
 
 
-def test_unknown_magnitude_mode_exits_3(tmp_path):
+def test_unknown_magnitude_mode_exits_3(tmp_path, capsys):
+    """magnitude_mode, levels and attribute_cap are no longer settings: a config naming one exits 3."""
     man = make_manifest(tmp_path, n=2)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"magnitude_mode": "fast"}')
     out = tmp_path / "tdb.csv"
-    assert main(["features", str(man), str(out), "--config", str(cfg)]) == 3
+    for key, value in (("magnitude_mode", "exact"), ("levels", 2), ("attribute_cap", 64)):
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["features", str(man), str(out), "--config", str(cfg)]) == 3
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        ("5", [], "not a JSON object"),
+        ("null", [], "not a JSON object"),
+        ("[]", [], "not a JSON object"),
+        ('"ab"', [], "not a JSON object"),
+        ('{"sigma": Infinity}', [], "not finite"),
+        ('{"sigma": NaN}', [], "not finite"),
+        ('{"sigma": -Infinity}', [], "not finite"),
+        ('{"canny_low": 1, "canny_high": Infinity}', [], "not finite"),
+        ("{}", ["--sigma", "nan"], "not finite"),
+    ],
+)
+def test_bad_config_document_exits_3(tmp_path, capsys, doc, flags, message):
+    man = make_manifest(tmp_path, n=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    out = tmp_path / "tdb.csv"
+    assert main(["features", str(man), str(out), "--config", str(cfg), *flags]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+SETTINGS = {"--config", "--sigma", "--canny-low", "--canny-high", "--min-area", "--no-equalize",
+            "--minsup", "--minconf", "--seed"}
+IMAGE = {"--sigma", "--canny-low", "--canny-high", "--min-area", "--no-equalize"}
+MINING = {"--minsup", "--minconf"}
+
+
+def test_each_command_takes_only_the_settings_it_reads():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    flags = {
+        name: {opt for action in p._actions for opt in action.option_strings} & SETTINGS
+        for name, p in commands.items()
+    }
+    assert flags == {
+        "preprocess": {"--config", "--no-equalize"},
+        "features": {"--config"} | IMAGE,
+        "mine": {"--config"} | MINING,
+        "train": {"--config"} | IMAGE | MINING,
+        "classify": {"--config"} | IMAGE,
+        "evaluate": set(),
+        "synth": {"--config", "--seed"},
+    }
+    assert sum(map(len, flags.values())) == 27
+
+
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(labeled_tdb())
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--sigma", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sigma 2" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_evaluate_unknown_predicted_label_exits_3(tmp_path):
@@ -149,6 +216,35 @@ def test_evaluate_unknown_predicted_label_exits_3(tmp_path):
     man = tmp_path / "manifest.csv"
     man.write_text("path,label,split\na.pgm,benign,test\n")
     assert main(["evaluate", str(pred), str(man)]) == 3
+
+
+def test_evaluate_undefined_measure_exits_3(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("path,predicted,fired_rule_count\na.pgm,normal,0\n")
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\na.pgm,benign,test\n")  # no normal image: no specificity
+    assert main(["evaluate", str(pred), str(man)]) == 3
+    assert "specificity is undefined" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "quant",
+    ["[]", '{"area": [1]}', '{"area": null}', '{"area": [0, 1%s]}' % ("0" * 400)],
+    ids=["list", "one-bound", "null", "huge-int"],
+)
+def test_malformed_quantization_exits_3(tmp_path, quant):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(labeled_tdb())
+    (tmp_path / "q.json").write_text(quant)
+    model = tmp_path / "model.json"
+    assert main(["train", "--tdb", str(tdb), str(model), "--quant", str(tmp_path / "q.json")]) == 3
+    assert not model.exists()
+
+
+def test_csv_field_beyond_the_csv_module_limit_exits_3(tmp_path):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(TDB_HEADER + b"t" * 200_000 + b",,1;2\n")
+    assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv")]) == 3
 
 
 def test_features_without_train_regions_exits_3(tmp_path, capsys):
@@ -295,6 +391,29 @@ def test_dense_tdb_mining_artifact_digests(tmp_path):
     assert sha256(model) == "c921e42334221772fbd0a8c7df0a9e19a2b363e8bb610f4bd00068261b72e0de"
 
 
+def test_paths_with_commas_run_the_whole_chain(tmp_path, capsys):
+    (tmp_path / "images").mkdir()
+    rows = [("images/a,b.pgm", "benign", "train"), ("images/b.pgm", "benign", "train"),
+            ("images/c,,d.pgm", "normal", "train"), ("images/d.pgm", "normal", "train"),
+            ("images/e,f.pgm", "benign", "test"), ("images/g,h.pgm", "normal", "test")]
+    for i, (path, label, _) in enumerate(rows):
+        write_image(tmp_path / path, blob_image(i) if label == "benign" else np.full((32, 32), 90))
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\n" + "".join(
+        f'"{p}",{label},{split}\n' if "," in p else f"{p},{label},{split}\n" for p, label, split in rows
+    ))
+    assert write_manifest(read_manifest(man)) == man.read_text()
+    tdb, model, pred = tmp_path / "tdb.csv", tmp_path / "model.json", tmp_path / "pred.csv"
+    assert main(["features", str(man), str(tdb)]) == 0
+    assert [t.tid for t in read_tdb_csv(tdb.read_bytes()).transactions] == [p for p, _, _ in rows]
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 0
+    assert main(["classify", str(model), "--manifest", str(man), str(pred)]) == 0
+    assert '"images/e,f.pgm",benign,' in pred.read_text()
+    capsys.readouterr()
+    assert main(["evaluate", str(pred), str(man), "--split", "test"]) == 0
+    assert "accuracy: 100.0%" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------------- mine
 
 
@@ -364,6 +483,7 @@ def test_train_classify_evaluate_round_trip(tmp_path, capsys):
 
 
 def test_train_honours_levels(tmp_path):
+    """train's model holds exactly the rules mine --rules writes, both hierarchy levels."""
     groups = [("normal", (999,)), ("benign", (111, 211)), ("benign", (112, 212)),
               ("malignant", (121, 221)), ("malignant", (122, 222))]
     rows = [
@@ -372,15 +492,12 @@ def test_train_honours_levels(tmp_path):
     ]
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(write_tdb_csv(TransactionDB(transactions=rows)))
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"levels": 1}))
     rules, model = tmp_path / "r.csv", tmp_path / "model.json"
-    assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--rules", str(rules),
-                 "--config", str(cfg)]) == 0
-    assert main(["train", "--tdb", str(tdb), str(model), "--config", str(cfg)]) == 0
+    assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--rules", str(rules)]) == 0
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 0
     trained = harc.model_from_json(model.read_bytes()).rules
     assert fpm.rules_to_csv(trained) == rules.read_bytes()
-    assert all(code % 10 for r in trained for code in r.antecedent)  # no coarse x10 codes
+    assert any(code % 10 == 0 for r in trained for code in r.antecedent)  # coarse x10 codes too
 
 
 def test_classify_manifest_unreadable_image_partial(tmp_path, capsys):

@@ -9,7 +9,6 @@ from imgmine.edge import (
     gaussian_kernel_1d,
     gradients,
     hysteresis,
-    magnitude,
     non_max_suppress,
 )
 from imgmine.pipeline import detect_edges, image_feature_vectors, image_transaction
@@ -97,16 +96,6 @@ def test_exact_magnitude_consistent():
     rng = np.random.default_rng(13)
     f = gradients(gi(rng.integers(0, 256, size=(10, 10))), 1.0)
     assert np.abs(f.mag - np.hypot(f.gx, f.gy)).max() < 1e-9
-
-
-# ---------------------------------------------------------------- magnitude
-
-
-def test_magnitude_modes():
-    assert magnitude(3.0, 4.0, "exact") == 5.0
-    assert magnitude(3.0, 4.0, "manhattan-approx") == 7.0
-    assert magnitude(0.0, 0.0, "exact") == 0.0
-    assert magnitude(0.0, 0.0, "manhattan-approx") == 0.0
 
 
 # ------------------------------------------------------------ direction_bin
@@ -307,5 +296,3 @@ def test_canny_params_validation():
         PipelineConfig(sigma=0)
     with pytest.raises(ConfigError):
         canny_config(1.4, 5.0, 2.0)
-    with pytest.raises(ConfigError):
-        PipelineConfig(magnitude_mode="fast")
