@@ -10,8 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import fpm, harc, metrics, pipeline, synth
-from .config import ConfigError, ManifestError, load_config, read_manifest
-from .prep import align_peak, equalize, median3x3, opening_mask
+from .config import EXTRACTION_KEYS, ConfigError, ManifestError, load_config, read_manifest
+from .prep import equalize, median3x3, opening_mask
 from .raster import GrayImage, PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
@@ -58,20 +58,15 @@ def cmd_preprocess(args) -> int:
     cfg = _config_from_args(args)
     img = _read_image(args.input)
     stage1 = equalize(img) if cfg.equalize else img
-    stage2 = stage1
-    if args.avg_hist:
-        avg = json.loads(Path(args.avg_hist).read_text())
-        stage2 = align_peak(stage1, avg)
-    stage3 = median3x3(stage2)
-    Path(args.output).write_bytes(write_pgm(stage3))
+    stage2 = median3x3(stage1)
+    Path(args.output).write_bytes(write_pgm(stage2))
     if args.dump_dir:
         dump = Path(args.dump_dir)
         dump.mkdir(parents=True, exist_ok=True)
         (dump / "stage1_equalized.pgm").write_bytes(write_pgm(stage1))
-        (dump / "stage2_aligned.pgm").write_bytes(write_pgm(stage2))
-        (dump / "stage3_median.pgm").write_bytes(write_pgm(stage3))
-        mask_img = GrayImage(opening_mask(stage3).bits.astype("uint8") * 255)
-        (dump / "stage4_openmask.pgm").write_bytes(write_pgm(mask_img))
+        (dump / "stage2_median.pgm").write_bytes(write_pgm(stage2))
+        mask_img = GrayImage(opening_mask(stage2).bits.astype("uint8") * 255)
+        (dump / "stage3_openmask.pgm").write_bytes(write_pgm(mask_img))
     return EXIT_OK
 
 
@@ -158,15 +153,14 @@ def cmd_train(args) -> int:
     else:
         manifest = read_manifest(args.manifest)
         db, qm, failed = _manifest_tdb(manifest, manifest.split("train"), cfg)
-    model = harc.train(
-        db, minsup=cfg.minsup, minconf=cfg.minconf, quantization=qm, min_area=cfg.min_area
-    )
+    model = harc.train(db, minsup=cfg.minsup, minconf=cfg.minconf, quantization=qm, config=cfg)
     Path(args.output).write_bytes(harc.model_to_json(model))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    cfg = _config_from_args(args)
+    """Extract with the model's own settings; --config only checks that it agrees."""
+    cfg = load_config(args.config) if args.config else None
     try:
         model = harc.model_from_json(Path(args.model).read_bytes())
     except FileNotFoundError:
@@ -174,6 +168,11 @@ def cmd_classify(args) -> int:
     except harc.ModelError as exc:
         _err(str(exc))
         return EXIT_MODEL
+    if cfg is not None:
+        differ = [k for k in EXTRACTION_KEYS if getattr(cfg, k) != getattr(model.config, k)]
+        if differ:
+            _err(f"config {args.config} and model {args.model} disagree on {', '.join(differ)}")
+            return EXIT_MODEL
     rows = []
     failed = False
     if args.tdb:
@@ -196,7 +195,7 @@ def cmd_classify(args) -> int:
                 _err(f"{name}: {exc}")  # skip it, as features does
                 failed = True
                 continue
-            t = pipeline.image_transaction(img, cfg, model.quantization, tid=name)
+            t = pipeline.image_transaction(img, model.config, model.quantization, tid=name)
             label, fired = harc.classify(model, t)
             rows.append((name, label, len(fired)))
     Path(args.output).write_text(csv_text("path,predicted,fired_rule_count", rows))
@@ -269,11 +268,10 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="imgmine", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="equalize/align/median one PGM")
+    p = sub.add_parser("preprocess", help="equalize/median one PGM")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--avg-hist", help="JSON file holding 256 average-histogram counts")
-    p.add_argument("--dump-dir", help="write stage1..4 intermediate PGMs here")
+    p.add_argument("--dump-dir", help="write stage1..3 intermediate PGMs here")
     _add_settings(p, ("--no-equalize",))
     p.set_defaults(func=cmd_preprocess)
 
@@ -291,7 +289,7 @@ def build_parser():
     _add_settings(p, MINING_FLAGS)
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("train", help="train the hybrid rule/tree classifier")
+    p = sub.add_parser("train", help="train the hybrid classifier and record its extraction config")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--tdb")
     src.add_argument("--manifest")
@@ -307,7 +305,7 @@ def build_parser():
     src.add_argument("--image")
     src.add_argument("--tdb")
     p.add_argument("output")
-    _add_settings(p, IMAGE_FLAGS)
+    p.add_argument("--config", help="JSON config file; exit 4 if its extraction settings differ")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="join predictions with manifest labels")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -17,6 +17,14 @@ class ConfigError(ValueError):
 
 class ManifestError(ValueError):
     pass
+
+
+# The settings that turn an image into a transaction. A model records them,
+# so classify extracts exactly as the model's training data was extracted.
+EXTRACTION_KEYS = ("sigma", "canny_low", "canny_high", "equalize", "min_area")
+# The Gaussian kernels take 6*sigma+1 samples; far below this bound they
+# already span any image the pipeline is meant for.
+MAX_SIGMA = 100.0
 
 
 @dataclass(frozen=True)
@@ -37,18 +45,20 @@ class PipelineConfig:
             value, default = getattr(self, f.name), f.default
             if value is None and default is None:
                 continue
-            # Unset thresholds and float fields take any JSON number; never a bool.
-            kind = (int, float) if default is None or isinstance(default, float) else type(default)
+            # Unset thresholds and float fields take any JSON number that fits a
+            # finite float; never a bool.
+            numeric = default is None or isinstance(default, float)
+            kind = (int, float) if numeric else type(default)
             if not isinstance(value, kind) or isinstance(value, bool) != isinstance(default, bool):
                 raise ConfigError(f"config value {f.name}={value!r} has the wrong type")
-            if isinstance(value, float) and not math.isfinite(value):
+            if numeric and not abs(value) <= sys.float_info.max:  # NaN compares false
                 raise ConfigError(f"config value {f.name}={value!r} is not finite")
         if not 0 < self.minsup <= 1:
             raise ConfigError("minsup must lie in (0, 1]")
         if not 0 < self.minconf <= 1:
             raise ConfigError("minconf must lie in (0, 1]")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be > 0")
+        if not 0 < self.sigma <= MAX_SIGMA:
+            raise ConfigError(f"sigma must lie in (0, {MAX_SIGMA:g}]")
         if self.min_area < 1:
             raise ConfigError("min_area must be >= 1")
         if (self.canny_low is None) != (self.canny_high is None):

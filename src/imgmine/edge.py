@@ -86,20 +86,6 @@ _NEIGHBORS = {
 }
 
 
-def direction_bin(theta_deg: float):
-    """Quantize an angle to one of four directions with its neighbor-offset pair."""
-    t = theta_deg % 180.0
-    if t <= 22.5 or t > 157.5:
-        b = 0
-    elif t <= 67.5:
-        b = 45
-    elif t <= 112.5:
-        b = 90
-    else:
-        b = 135
-    return b, _NEIGHBORS[b]
-
-
 def non_max_suppress(field: GradientField) -> np.ndarray:
     """Zero every pixel whose along-gradient neighbor is strictly greater in magnitude."""
     mag = field.mag

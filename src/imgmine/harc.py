@@ -9,10 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .config import EXTRACTION_KEYS, PipelineConfig
 from .fpm import AssociationRule, mine_class_rules
 from .segment import CLASSES, QuantizationModel, Transaction, TransactionDB, coarse_item
 
-MODEL_VERSION = "harc-1"
+MODEL_VERSION = "harc-2"
 DEFAULT_ATTRIBUTE_CAP = 64
 
 
@@ -51,7 +52,7 @@ class HarcModel:
     tree: "Leaf | Split"
     quantization: QuantizationModel
     default_class: str
-    min_area: int = 25
+    config: PipelineConfig = PipelineConfig()  # only its EXTRACTION_KEYS are saved
 
 
 def entropy(class_counts) -> float:
@@ -155,7 +156,7 @@ def train(
     minconf=Fraction(97, 100),
     attribute_cap: int = DEFAULT_ATTRIBUTE_CAP,
     quantization: Optional[QuantizationModel] = None,
-    min_area: int = 25,
+    config: PipelineConfig = PipelineConfig(),
 ) -> HarcModel:
     """Mine class rules at both hierarchy levels, build rule attributes, induce the tree."""
     labeled = [t for t in db.transactions if t.label is not None]
@@ -187,7 +188,7 @@ def train(
         tree=tree,
         quantization=quantization or QuantizationModel(),
         default_class=default,
-        min_area=min_area,
+        config=config,
     )
 
 
@@ -224,7 +225,7 @@ def model_to_json(model: HarcModel) -> bytes:
     doc = {
         "version": MODEL_VERSION,
         "default_class": model.default_class,
-        "min_area": model.min_area,
+        "config": {key: getattr(model.config, key) for key in EXTRACTION_KEYS},
         "quantization": model.quantization.to_dict(),
         "rules": [
             {
@@ -251,6 +252,9 @@ def model_from_json(data: bytes) -> HarcModel:
     if doc.get("version") != MODEL_VERSION:
         raise ModelError(f"model version {doc.get('version')!r} != {MODEL_VERSION}")
     try:
+        config = doc["config"]
+        if not isinstance(config, dict) or set(config) != set(EXTRACTION_KEYS):
+            raise ValueError(f"config must hold exactly {list(EXTRACTION_KEYS)}")
         rules = [
             AssociationRule(
                 antecedent=tuple(r["antecedent"]),
@@ -271,7 +275,7 @@ def model_from_json(data: bytes) -> HarcModel:
             tree=_tree_from_dict(doc["tree"], len(attributes)),
             quantization=QuantizationModel.from_dict(doc["quantization"]),
             default_class=_known_class(doc["default_class"]),
-            min_area=int(doc.get("min_area", 25)),
+            config=PipelineConfig(**config),
         )
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model: {type(exc).__name__}: {exc}") from None

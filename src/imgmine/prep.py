@@ -1,4 +1,4 @@
-"""Preprocessing: histogram peak alignment, equalization, median filter, binary morphology."""
+"""Preprocessing: equalization, median filter, binary morphology."""
 
 from __future__ import annotations
 
@@ -14,28 +14,14 @@ def histogram(img: GrayImage) -> np.ndarray:
     return np.bincount(img.pixels.ravel(), minlength=256).astype(np.int64)
 
 
-def average_histogram(imgs) -> np.ndarray:
-    """Per-bin rounded mean of the images' histograms (round half up)."""
-    imgs = list(imgs)
-    if not imgs:
-        raise ValueError("average_histogram needs at least one image")
-    total = np.zeros(256, dtype=np.float64)
-    for img in imgs:
-        total += histogram(img)
-    return np.floor(total / len(imgs) + 0.5).astype(np.int64)
-
-
-def histogram_peak(hist) -> int:
-    """Smallest intensity attaining the maximum count."""
-    return int(np.argmax(hist))
-
-
+# Nothing in the package calls this; perfbench/trace.py spans it by name (SPANNED),
+# so `perfbench/run.py --trace 1` needs it.
 def align_peak(img: GrayImage, avg) -> GrayImage:
     """Shift all intensities so the image's histogram peak lands on the average's peak."""
     avg = np.asarray(avg)
     if avg.sum() <= 0:
         raise ValueError("average histogram is empty")
-    delta = histogram_peak(avg) - histogram_peak(histogram(img))
+    delta = int(np.argmax(avg)) - int(np.argmax(histogram(img)))  # smallest peak intensity
     if delta == 0:
         return img
     shifted = np.clip(img.pixels.astype(np.int32) + delta, 0, 255)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's FP-tree / separable-filter
 code paths: supports come from exhaustive subset enumeration, convolutions
-from direct O(n^2 k^2) summation, distances from all-pairs minimization,
+from direct O(n^2 k^2) summation, medians from sorting each neighbourhood,
+distances from all-pairs minimization,
 connected components from a pixel-by-pixel flood fill.
 """
 
@@ -75,6 +76,21 @@ def conv2d_clamped(a, kernel):
                     xx = min(max(x - (j - hx), 0), w - 1)
                     acc += kernel[i, j] * a[yy, xx]
             out[y, x] = acc
+    return out
+
+
+def median3x3_brute(pixels):
+    """Middle of the sorted 3x3 neighbourhood, borders replicated by clamping indices."""
+    h, w = pixels.shape
+    out = np.zeros((h, w), dtype=np.uint8)
+    for y in range(h):
+        for x in range(w):
+            window = sorted(
+                int(pixels[min(max(y + dy, 0), h - 1), min(max(x + dx, 0), w - 1)])
+                for dy in (-1, 0, 1)
+                for dx in (-1, 0, 1)
+            )
+            out[y, x] = window[4]
     return out
 
 

@@ -109,7 +109,7 @@ def test_model_version_mismatch_exits_4(tmp_path):
     tdb.write_bytes(labeled_tdb())
     model = harc.train(read_tdb_csv(labeled_tdb()))
     bad = tmp_path / "model.json"
-    bad.write_bytes(harc.model_to_json(model).replace(b"harc-1", b"harc-0"))
+    bad.write_bytes(harc.model_to_json(model).replace(harc.MODEL_VERSION.encode(), b"harc-0"))
     rc = main(["classify", str(bad), "--tdb", str(tdb), str(tmp_path / "p.csv")])
     assert rc == 4
 
@@ -126,7 +126,12 @@ def test_malformed_model_exits_4(tmp_path):
     negative = dict(doc, tree=dict(doc["tree"], attribute=-1))
     unknown_leaf = json.loads(json.dumps(doc).replace('"leaf": "benign"', '"leaf": "cancer"'))
     unknown_default = dict(doc, default_class="cancer")
-    for broken in (no_rules, bad_type, out_of_range, negative, unknown_leaf, unknown_default):
+    no_config = {k: v for k, v in doc.items() if k != "config"}
+    short_config = dict(doc, config={k: v for k, v in doc["config"].items() if k != "sigma"})
+    mining_config = dict(doc, config=dict(doc["config"], minsup=0.5))
+    bad_config = dict(doc, config=dict(doc["config"], sigma=0))
+    for broken in (no_rules, bad_type, out_of_range, negative, unknown_leaf, unknown_default,
+                   no_config, short_config, mining_config, bad_config):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(broken))
         assert main(["classify", str(model), "--tdb", str(tdb), str(tmp_path / "p.csv")]) == 4
@@ -164,6 +169,10 @@ def test_unknown_magnitude_mode_exits_3(tmp_path, capsys):
         ('{"sigma": -Infinity}', [], "not finite"),
         ('{"canny_low": 1, "canny_high": Infinity}', [], "not finite"),
         ("{}", ["--sigma", "nan"], "not finite"),
+        ('{"sigma": 1e300}', [], "sigma must lie in (0, 100]"),
+        pytest.param('{"sigma": 1%s}' % ("0" * 400), [], "not finite", id="huge-int-sigma"),
+        pytest.param('{"canny_low": 0, "canny_high": 1%s}' % ("0" * 400), [], "not finite",
+                     id="huge-int-canny-high"),
     ],
 )
 def test_bad_config_document_exits_3(tmp_path, capsys, doc, flags, message):
@@ -193,11 +202,11 @@ def test_each_command_takes_only_the_settings_it_reads():
         "features": {"--config"} | IMAGE,
         "mine": {"--config"} | MINING,
         "train": {"--config"} | IMAGE | MINING,
-        "classify": {"--config"} | IMAGE,
+        "classify": {"--config"},
         "evaluate": set(),
         "synth": {"--config", "--seed"},
     }
-    assert sum(map(len, flags.values())) == 27
+    assert sum(map(len, flags.values())) == 22
 
 
 def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys):
@@ -284,13 +293,8 @@ def test_preprocess_writes_stage_dumps(tmp_path):
     rc = main(["preprocess", str(src), str(out), "--dump-dir", str(dump)])
     assert rc == 0
     names = sorted(p.name for p in dump.iterdir())
-    assert names == [
-        "stage1_equalized.pgm",
-        "stage2_aligned.pgm",
-        "stage3_median.pgm",
-        "stage4_openmask.pgm",
-    ]
-    assert out.read_bytes() == (dump / "stage3_median.pgm").read_bytes()
+    assert names == ["stage1_equalized.pgm", "stage2_median.pgm", "stage3_openmask.pgm"]
+    assert out.read_bytes() == (dump / "stage2_median.pgm").read_bytes()
     read_pgm(out.read_bytes())  # parses back cleanly
 
 
@@ -321,6 +325,22 @@ def test_features_deterministic(tmp_path):
     assert main(["features", str(man), str(a)]) == 0
     assert main(["features", str(man), str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_features_degenerate_images_have_no_object(tmp_path):
+    """1x1, 1x9, 2x2 and a 64x64 one-pixel checkerboard yield no region: item 999 each."""
+    images = {"one.pgm": np.full((1, 1), 128), "row.pgm": np.arange(9).reshape(1, 9) * 30,
+              "two.pgm": [[0, 255], [255, 0]],
+              "checker.pgm": (np.indices((64, 64)).sum(axis=0) % 2) * 255}
+    for name, pixels in images.items():
+        write_image(tmp_path / name, pixels)
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\n" + "".join(f"{name},normal,train\n" for name in images))
+    out = tmp_path / "tdb.csv"
+    assert main(["features", str(man), str(out)]) == 0
+    db = read_tdb_csv(out.read_bytes())
+    assert [t.tid for t in db.transactions] == list(images)
+    assert all(t.items == (999,) for t in db.transactions)
 
 
 def test_features_missing_image_partial(tmp_path):
@@ -360,22 +380,52 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_readme_chain_artifact_digests(tmp_path):
-    """Artifact bytes of the README chain (synth seed 42, corpus config)."""
+README_PRED_SHA256 = "67ddf2ac7037d100bb868a67018d9680f6f0a22d9f991a4ac12b965b8232e03a"
+
+
+def readme_chain_model(tmp_path):
+    """synth seed 42, then features and train with the corpus config; returns (manifest, model)."""
     corpus = tmp_path / "corpus"
     assert main(["synth", str(corpus), "--seed", "42"]) == 0
     man, cfg = str(corpus / "manifest.csv"), str(corpus / "config.json")
-    tdb, model, pred = tmp_path / "tdb.csv", tmp_path / "model.json", tmp_path / "pred.csv"
-    mfi, rules = tmp_path / "mfi.csv", tmp_path / "rules.csv"
+    tdb, model = tmp_path / "tdb.csv", tmp_path / "model.json"
     assert main(["features", man, str(tdb), "--config", cfg]) == 0
-    assert main(["mine", str(tdb), "--mfi", str(mfi), "--rules", str(rules), "--config", cfg]) == 0
     assert main(["train", "--tdb", str(tdb), str(model), "--config", cfg]) == 0
+    return man, model
+
+
+def test_readme_chain_artifact_digests(tmp_path):
+    """Artifact bytes of the README chain (synth seed 42, corpus config)."""
+    man, model = readme_chain_model(tmp_path)
+    cfg = str(tmp_path / "corpus" / "config.json")
+    tdb, pred = tmp_path / "tdb.csv", tmp_path / "pred.csv"
+    mfi, rules = tmp_path / "mfi.csv", tmp_path / "rules.csv"
+    assert main(["mine", str(tdb), "--mfi", str(mfi), "--rules", str(rules), "--config", cfg]) == 0
     assert main(["classify", str(model), "--manifest", man, str(pred), "--config", cfg]) == 0
     assert sha256(tdb) == "1795f3d3234fe691dd3f38f9637e9a545e8ab57ccaa2d761950f532eecf2cf40"
     assert sha256(mfi) == "b065f349758703b6ab5c33ac083517cef1a952b558a7d7bea27d3c295c176fec"
     assert sha256(rules) == "4018328928973404e3a93dcf99d8f490a4d02359f7502c3c11fdf94dd73dc19a"
-    assert sha256(model) == "eb33d4dc4bcf1df122bbe7aa0955e453825f74213e50eee7986be754c74decce"
-    assert sha256(pred) == "67ddf2ac7037d100bb868a67018d9680f6f0a22d9f991a4ac12b965b8232e03a"
+    assert sha256(model) == "00e6320b09976a646f8f9776e637748cb4171a003452642ed4f9ce6188993dae"
+    assert sha256(pred) == README_PRED_SHA256
+
+
+def test_classify_extracts_with_the_model_settings(tmp_path):
+    """Without --config, classify still extracts as the model's training data was extracted."""
+    man, model = readme_chain_model(tmp_path)
+    pred = tmp_path / "pred.csv"
+    assert main(["classify", str(model), "--manifest", man, str(pred)]) == 0
+    assert sha256(pred) == README_PRED_SHA256
+
+
+def test_classify_config_disagreeing_with_the_model_exits_4(tmp_path, capsys):
+    man, model = readme_chain_model(tmp_path)
+    cfg, pred = tmp_path / "cfg.json", tmp_path / "pred.csv"
+    cfg.write_text('{"sigma": 2.0}')
+    capsys.readouterr()
+    assert main(["classify", str(model), "--manifest", man, str(pred), "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(cfg) in err and str(model) in err
+    assert not pred.exists()
 
 
 def test_dense_tdb_mining_artifact_digests(tmp_path):
@@ -388,7 +438,7 @@ def test_dense_tdb_mining_artifact_digests(tmp_path):
     assert main(["train", "--tdb", str(tdb), str(model), *thresholds]) == 0
     assert sha256(mfi) == "fc61f4eaaf806c133365ccae44b495b3800822c4c86682f8eecf7d49b3699e7f"
     assert sha256(rules) == "20fcd9c9db01c60e2e504f38a041b9b553bc4ad90c3dd41baf87fbcf751e807c"
-    assert sha256(model) == "c921e42334221772fbd0a8c7df0a9e19a2b363e8bb610f4bd00068261b72e0de"
+    assert sha256(model) == "cc9e1afa1d331be2ff44c45f3acca82ba9435fd41112ea1ad18a8ef17e4a4660"
 
 
 def test_paths_with_commas_run_the_whole_chain(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from imgmine.config import ConfigError, PipelineConfig
 from imgmine.edge import (
+    GradientField,
     chamfer_manhattan,
-    direction_bin,
     gaussian_deriv_kernel_1d,
     gaussian_kernel_1d,
     gradients,
@@ -98,27 +98,6 @@ def test_exact_magnitude_consistent():
     assert np.abs(f.mag - np.hypot(f.gx, f.gy)).max() < 1e-9
 
 
-# ------------------------------------------------------------ direction_bin
-
-
-def test_direction_bin_table_rules():
-    b, nb = direction_bin(10.0)
-    assert b == 0 and nb == ((-1, 0), (1, 0))
-    b, _ = direction_bin(-30.0)  # +180 -> 150 -> 135-degree bin
-    assert b == 135
-    b, nb = direction_bin(45.0)
-    assert b == 45 and nb == ((-1, -1), (1, 1))
-    assert direction_bin(90.0)[1] == ((0, -1), (0, 1))
-    assert direction_bin(135.0)[1] == ((-1, 1), (1, -1))
-
-
-def test_direction_bin_total():
-    rng = np.random.default_rng(14)
-    for theta in rng.uniform(-720, 720, size=500):
-        b, _ = direction_bin(float(theta))
-        assert b in (0, 45, 90, 135)
-
-
 # ---------------------------------------------------------------------- nms
 
 
@@ -138,6 +117,25 @@ def test_nms_keeps_ridge():
     f = field_cls(gx=np.ones((5, 5)), gy=np.zeros((5, 5)), mag=mag, theta_deg=np.zeros((5, 5)))
     out = non_max_suppress(f)
     assert (out[:, 2] == 10.0).all() and out.sum() == 50.0
+
+
+# Direction bin -> the (dx, dy) offset of one of its two along-gradient neighbours.
+BIN_NEIGHBOR = {0: (1, 0), 45: (1, 1), 90: (0, 1), 135: (1, -1)}
+
+
+@pytest.mark.parametrize(
+    "theta, expected_bin",
+    [(0.0, 0), (22.5, 0), (22.6, 45), (45.0, 45), (67.5, 45), (67.6, 90), (90.0, 90),
+     (112.5, 90), (112.6, 135), (135.0, 135), (157.5, 135), (157.6, 0), (179.9, 0)],
+)
+def test_nms_direction_bin_boundaries(theta, expected_bin):
+    """The centre is suppressed only by a stronger neighbour in its own angle's bin."""
+    for b, (dx, dy) in BIN_NEIGHBOR.items():
+        mag = np.zeros((3, 3))
+        mag[1, 1], mag[1 + dy, 1 + dx] = 5.0, 9.0
+        f = GradientField(gx=np.ones((3, 3)), gy=np.zeros((3, 3)), mag=mag,
+                          theta_deg=np.full((3, 3), theta))
+        assert (non_max_suppress(f)[1, 1] == 0.0) == (b == expected_bin), b
 
 
 def test_nms_step_one_pixel_per_row():

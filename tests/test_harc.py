@@ -16,7 +16,8 @@ from imgmine.harc import (
     model_to_json,
     train,
 )
-from imgmine.harc import HarcModel, ModelError
+from imgmine.config import EXTRACTION_KEYS, PipelineConfig
+from imgmine.harc import MODEL_VERSION, HarcModel, ModelError
 from imgmine.segment import QuantizationModel, Transaction, TransactionDB
 
 
@@ -242,8 +243,15 @@ def test_model_json_round_trip():
         assert classify(back, t)[0] == t.label
 
 
+def test_model_json_keeps_the_extraction_settings():
+    extraction = dict(sigma=2.0, canny_low=1.0, canny_high=3, equalize=False, min_area=7)
+    doc = model_to_json(train(separable_db(), config=PipelineConfig(**extraction, minsup=0.5)))
+    assert model_from_json(doc).config == PipelineConfig(**extraction)
+    assert b'"minsup"' not in doc and all(f'"{key}"'.encode() in doc for key in EXTRACTION_KEYS)
+
+
 def test_model_version_check():
     model = train(separable_db())
-    bad = model_to_json(model).replace(b"harc-1", b"harc-9")
+    bad = model_to_json(model).replace(MODEL_VERSION.encode(), b"harc-9")
     with pytest.raises(ModelError):
         model_from_json(bad)

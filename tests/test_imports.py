@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and every
+top-level function or class of the package is used by some module of it."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,44 @@ def test_every_imported_name_is_used():
         for name in unused_imports(ast.parse(path.read_text(), filename=str(path)))
     }
     assert unused == ALLOWED
+
+
+# Top-level definitions no module of the package uses, each kept for a reason.
+UNREFERENCED = {
+    ("edge", "chamfer_manhattan"): "acceptance criterion 4 gates it",
+    ("metrics", "precision"): "acceptance criterion 6 gates it",
+    ("metrics", "recall"): "acceptance criterion 6 gates it",
+    ("prep", "align_peak"): "perfbench/trace.py spans it by name",
+}
+
+
+def referenced_names(tree):
+    """Names a tree reads, as bare names or as attributes of something."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def unreferenced_definitions(trees):
+    """(module, name) of each top-level function or class that no tree reads."""
+    used = set().union(*map(referenced_names, trees.values()))
+    return {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    }
+
+
+def test_unreferenced_definitions_detected():
+    trees = {"a": ast.parse("def f(): pass\nclass C: pass\ndef g(): return f"),
+             "b": ast.parse("import a\na.C()")}
+    assert unreferenced_definitions(trees) == {("a", "g")}
+
+
+def test_every_definition_is_used():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(trees) == set(UNREFERENCED)

@@ -4,18 +4,18 @@ import pytest
 from imgmine.prep import (
     StructuringElement,
     align_peak,
-    average_histogram,
     dilate,
     equalize,
     erode,
     histogram,
-    histogram_peak,
     median3x3,
     open_,
     otsu_threshold,
     square3,
 )
 from imgmine.raster import BinaryImage, GrayImage
+
+from oracles import median3x3_brute
 
 
 def gi(a):
@@ -50,16 +50,6 @@ def test_histogram_sums_to_pixel_count():
         assert histogram(img).sum() == 63
 
 
-def test_average_histogram():
-    a, b = gi([[0, 0]]), gi([[0, 1]])
-    avg = average_histogram([a, b])
-    assert avg[0] == 2 and avg[1] == 1  # rounded mean of (2,2) and (0,1), half up
-    assert np.array_equal(average_histogram([a]), histogram(a))
-    assert np.array_equal(average_histogram([a, a]), histogram(a))
-    with pytest.raises(ValueError):
-        average_histogram([])
-
-
 # ---------------------------------------------------------------- align_peak
 
 
@@ -71,11 +61,11 @@ def test_align_peak_identity():
 def test_align_peak_shifts_to_average_peak():
     rng = np.random.default_rng(1)
     img = gi(np.clip(rng.normal(100, 5, size=(32, 32)), 0, 200))
-    assert histogram_peak(histogram(img)) != 120
+    assert np.argmax(histogram(img)) != 120
     avg = np.zeros(256)
     avg[120] = 10
     shifted = align_peak(img, avg)
-    assert histogram_peak(histogram(shifted)) == 120
+    assert np.argmax(histogram(shifted)) == 120
 
 
 def test_align_peak_clamps():
@@ -134,6 +124,14 @@ def test_median_values_come_from_neighborhood():
     for y in range(8):
         for x in range(8):
             assert out[y, x] in p[y : y + 3, x : x + 3]
+
+
+def test_median_matches_sorted_neighbourhood_oracle():
+    rng = np.random.default_rng(4)
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (2, 2), (3, 5)] + [(12, 12)] * 5
+    for shape in shapes:
+        img = rng.integers(0, 256, size=shape)
+        assert np.array_equal(median3x3(gi(img)).pixels, median3x3_brute(img))
 
 
 # --------------------------------------------------------------- morphology
