@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import EdgeMap, GrayImage, label_components
+from .raster import EdgeMap, GrayImage, label_components, replicate_border
 
 
 @dataclass(frozen=True)
@@ -16,14 +16,6 @@ class GradientField:
     gy: np.ndarray
     mag: np.ndarray
     theta_deg: np.ndarray  # folded into [0, 180)
-
-    @property
-    def width(self):
-        return self.mag.shape[1]
-
-    @property
-    def height(self):
-        return self.mag.shape[0]
 
 
 FLAT_MAGNITUDE = 1e-9
@@ -51,10 +43,7 @@ def gaussian_deriv_kernel_1d(sigma: float) -> np.ndarray:
 
 def conv1d_replicate(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     """'Same'-size 1D convolution along an axis with replicated borders."""
-    half = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (half, half)
-    p = np.pad(a, pad, mode="edge")
+    p = replicate_border(a, len(kernel) // 2, axis)
     win = np.lib.stride_tricks.sliding_window_view(p, len(kernel), axis=axis)
     return win @ kernel[::-1]  # convolution == correlation with reversed kernel
 
@@ -90,7 +79,8 @@ def non_max_suppress(field: GradientField) -> np.ndarray:
     """Zero every pixel whose along-gradient neighbor is strictly greater in magnitude."""
     mag = field.mag
     h, w = mag.shape
-    padded = np.pad(mag, 1, mode="constant")  # off-image neighbors count as 0
+    padded = np.zeros((h + 2, w + 2))  # off-image neighbors count as 0
+    padded[1:-1, 1:-1] = mag
 
     t = field.theta_deg
     bins = np.full(t.shape, 0, dtype=np.int32)

@@ -112,14 +112,23 @@ def read_pgm(data: bytes) -> GrayImage:
     payload = data[pos : pos + need]
     if len(payload) < need:
         raise PgmError(f"truncated pixel data at byte {pos + len(payload)}")
-    a = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return GrayImage(a)
+    a = np.frombuffer(payload, dtype=np.uint8)
+    if maxval < 255 and (a > maxval).any():
+        at = int(np.argmax(a > maxval))
+        raise PgmError(f"pixel {a[at]} above maxval {maxval} at byte {pos + at}")
+    return GrayImage(a.reshape(height, width))
 
 
 def write_pgm(img: GrayImage) -> bytes:
     """Serialize to canonical binary PGM: 'P5\\n<w> <h>\\n255\\n' + row-major bytes."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + img.pixels.tobytes()
+
+
+def replicate_border(a: np.ndarray, half: int, axis: int) -> np.ndarray:
+    """a widened by `half` copies of its first and last slice along axis (edge replication)."""
+    n = a.shape[axis]
+    return a.take(np.clip(np.arange(-half, n + half), 0, n - 1), axis=axis)
 
 
 def threshold(img: GrayImage, t: int) -> BinaryImage:
@@ -140,7 +149,9 @@ def label_components(bits, connectivity: int) -> np.ndarray:
         raise ValueError("connectivity must be 4 or 8")
     bits = np.asarray(bits, dtype=bool)
     h, w = bits.shape
-    step = np.diff(np.pad(bits, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    framed = np.zeros((h, w + 2), dtype=np.int8)
+    framed[:, 1:-1] = bits
+    step = np.diff(framed, axis=1)
     row, start = np.nonzero(step == 1)
     end = np.nonzero(step == -1)[1]  # exclusive
     # Run b touches the runs of the row above whose columns overlap its own,

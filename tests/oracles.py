@@ -3,6 +3,7 @@
 Everything here deliberately avoids the library's FP-tree / separable-filter
 code paths: supports come from exhaustive subset enumeration, convolutions
 from direct O(n^2 k^2) summation, medians from sorting each neighbourhood,
+erosion and dilation from testing each member at each pixel,
 distances from all-pairs minimization,
 connected components from a pixel-by-pixel flood fill.
 """
@@ -91,6 +92,37 @@ def median3x3_brute(pixels):
                 for dx in (-1, 0, 1)
             )
             out[y, x] = window[4]
+    return out
+
+
+def _members(se):
+    cy, cx = se.shape[0] // 2, se.shape[1] // 2
+    return [(i - cy, j - cx) for i in range(se.shape[0]) for j in range(se.shape[1]) if se[i, j]]
+
+
+def erode_brute(mask, se):
+    """p survives iff every member b of se lands on foreground at p + b; off-image is background."""
+    h, w = mask.shape
+    out = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            out[y, x] = all(
+                0 <= y + dy < h and 0 <= x + dx < w and mask[y + dy, x + dx]
+                for dy, dx in _members(se)
+            )
+    return out
+
+
+def dilate_brute(mask, se):
+    """p is set iff some member b of se has foreground at p - b; off-image is background."""
+    h, w = mask.shape
+    out = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            out[y, x] = any(
+                0 <= y - dy < h and 0 <= x - dx < w and mask[y - dy, x - dx]
+                for dy, dx in _members(se)
+            )
     return out
 
 

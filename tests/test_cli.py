@@ -343,6 +343,18 @@ def test_features_degenerate_images_have_no_object(tmp_path):
     assert all(t.items == (999,) for t in db.transactions)
 
 
+def test_pixel_above_maxval_exits_2_and_is_skipped_by_features(tmp_path, capsys):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5 2 2 15\n" + bytes([1, 2, 200, 3]))
+    assert main(["preprocess", str(bad), str(tmp_path / "out.pgm")]) == 2
+    assert "byte 12" in capsys.readouterr().err
+    man = make_manifest(tmp_path, n=2)
+    man.write_text(man.read_text() + "bad.pgm,normal,train\n")
+    out = tmp_path / "tdb.csv"
+    assert main(["features", str(man), str(out)]) == 1
+    assert [t.tid for t in read_tdb_csv(out.read_bytes()).transactions] == ["img0.pgm", "img1.pgm"]
+
+
 def test_features_missing_image_partial(tmp_path):
     man = make_manifest(tmp_path, n=2)
     man.write_text(man.read_text() + "ghost.pgm,normal,train\n")

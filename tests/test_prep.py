@@ -15,7 +15,7 @@ from imgmine.prep import (
 )
 from imgmine.raster import BinaryImage, GrayImage
 
-from oracles import median3x3_brute
+from oracles import dilate_brute, erode_brute, median3x3_brute
 
 
 def gi(a):
@@ -129,8 +129,11 @@ def test_median_values_come_from_neighborhood():
 def test_median_matches_sorted_neighbourhood_oracle():
     rng = np.random.default_rng(4)
     shapes = [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (2, 2), (3, 5)] + [(12, 12)] * 5
-    for shape in shapes:
-        img = rng.integers(0, 256, size=shape)
+    images = [rng.integers(0, 256, size=shape) for shape in shapes + [(64, 64)] * 2]
+    # Mostly ties: a comparison network must still pick the middle value.
+    for values in ((0, 255), (0, 1, 2)):
+        images += [rng.choice(values, size=shape) for shape in shapes + [(64, 64)] * 2]
+    for img in images:
         assert np.array_equal(median3x3(gi(img)).pixels, median3x3_brute(img))
 
 
@@ -178,6 +181,25 @@ def test_dilation_extensive():
     for _ in range(20):
         a = rand_mask(rng)
         assert not (a.bits & ~dilate(a, square3()).bits).any()
+
+
+# Off-centre members catch a translate taken with the wrong sign.
+@pytest.mark.parametrize(
+    "bits",
+    [
+        np.ones((3, 3)),
+        [[0, 1, 1]],
+        [[1], [1], [0]],
+        [[1, 0, 0, 1, 0], [0, 0, 1, 0, 1], [1, 1, 0, 0, 0]],
+    ],
+)
+def test_morphology_matches_per_pixel_oracle(bits):
+    se = StructuringElement(np.asarray(bits, dtype=bool))
+    rng = np.random.default_rng(8)
+    for shape in [(1, 1), (1, 7), (7, 1), (2, 2)] + [(9, 13)] * 12:
+        mask = rng.random(shape) < rng.uniform(0.2, 0.9)
+        assert np.array_equal(erode(bi(mask), se).bits, erode_brute(mask, se.bits))
+        assert np.array_equal(dilate(bi(mask), se).bits, dilate_brute(mask, se.bits))
 
 
 def test_open_square_fixed_point():

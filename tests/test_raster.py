@@ -62,6 +62,13 @@ def test_maxval_over_255_rejected():
         read_pgm(b"P5\n1 1\n65535\n\x00\x00")
 
 
+def test_pixel_above_maxval_names_offset():
+    # 10 header bytes; the first pixel above maxval 15 is payload byte 2.
+    with pytest.raises(PgmError, match=r"200 above maxval 15 at byte 12"):
+        read_pgm(b"P5 2 2 15\n" + bytes([15, 0, 200, 16]))
+    assert read_pgm(b"P5 2 2 15\n" + bytes([15, 0, 7, 3])).pixels.max() == 15
+
+
 def test_header_comments_and_whitespace():
     img = read_pgm(b"P5 # comment\n2 1 255\n" + bytes([1, 2]))
     assert img.pixels.tolist() == [[1, 2]]
