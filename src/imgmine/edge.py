@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .raster import EdgeMap, GrayImage, label_components, replicate_border
+from .raster import EdgeMap, GrayImage, bounding_box, label_components, replicate_border
 
 
 @dataclass(frozen=True)
@@ -21,40 +23,38 @@ class GradientField:
 FLAT_MAGNITUDE = 1e-9
 
 
-def gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    """Sampled Gaussian of half-width ceil(3*sigma), normalized to sum 1."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    half = math.ceil(3 * sigma)
-    t = np.arange(-half, half + 1, dtype=np.float64)
-    k = np.exp(-(t * t) / (2 * sigma * sigma))
-    return k / k.sum()
+@lru_cache(maxsize=64)
+def gaussian_kernels(sigma: float):
+    """(smoothing, derivative) 1D kernels of half-width ceil(3*sigma), read-only and cached.
 
-
-def gaussian_deriv_kernel_1d(sigma: float) -> np.ndarray:
-    """Derivative-of-Gaussian samples, scaled by the smoothing kernel's normalizer."""
+    The smoothing kernel is the sampled Gaussian normalized to sum 1; the derivative
+    kernel is the derivative-of-Gaussian samples scaled by the same normalizer.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     half = math.ceil(3 * sigma)
     t = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-(t * t) / (2 * sigma * sigma))
-    return (-t / (sigma * sigma)) * g / g.sum()
+    kernels = (g / g.sum(), (-t / (sigma * sigma)) * g / g.sum())
+    for k in kernels:
+        k.setflags(write=False)
+    return kernels
 
 
 def conv1d_replicate(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     """'Same'-size 1D convolution along an axis with replicated borders."""
-    p = replicate_border(a, len(kernel) // 2, axis)
-    win = np.lib.stride_tricks.sliding_window_view(p, len(kernel), axis=axis)
+    win = sliding_window_view(replicate_border(a, len(kernel) // 2, axis), len(kernel), axis)
     return win @ kernel[::-1]  # convolution == correlation with reversed kernel
 
 
 def gradients(img: GrayImage, sigma: float) -> GradientField:
     """Separable derivative-of-Gaussian gradients (x = column, y = row), euclidean magnitude."""
     a = img.pixels.astype(np.float64)
-    g = gaussian_kernel_1d(sigma)
-    d = gaussian_deriv_kernel_1d(sigma)
-    gx = conv1d_replicate(conv1d_replicate(a, d, axis=1), g, axis=0)
-    gy = conv1d_replicate(conv1d_replicate(a, g, axis=1), d, axis=0)
+    g, d = gaussian_kernels(sigma)
+    # Both row passes read one border gather and window view, built as conv1d_replicate would.
+    win = sliding_window_view(replicate_border(a, len(g) // 2, 1), len(g), 1)
+    gx = conv1d_replicate(win @ d[::-1], g, axis=0)
+    gy = conv1d_replicate(win @ g[::-1], d, axis=0)
     mag = np.sqrt(np.square(gx) + np.square(gy))
     # On a flat patch the derivative is zero only up to float rounding (~1e-13
     # for 8-bit input); snap that residue to an exact 0 so it is never an edge.
@@ -64,15 +64,15 @@ def gradients(img: GrayImage, sigma: float) -> GradientField:
     return GradientField(gx=gx, gy=gy, mag=mag, theta_deg=theta)
 
 
-# Direction bin -> the two neighbor offsets (dx, dy) along the gradient.
-# The vertical/anti-diagonal pairs follow the gradient geometry for the
-# 90-degree and 135-degree bins.
-_NEIGHBORS = {
-    0: ((-1, 0), (1, 0)),
-    45: ((-1, -1), (1, 1)),
-    90: ((0, -1), (0, 1)),
-    135: ((-1, 1), (1, -1)),
-}
+# Direction bin (0, 45, 90, 135 degrees) -> the two neighbor offsets (dx, dy) along
+# the gradient. The vertical/anti-diagonal pairs follow the gradient geometry for
+# the 90-degree and 135-degree bins.
+_NEIGHBORS = (
+    ((-1, 0), (1, 0)),
+    ((-1, -1), (1, 1)),
+    ((0, -1), (0, 1)),
+    ((-1, 1), (1, -1)),
+)
 
 
 def non_max_suppress(field: GradientField) -> np.ndarray:
@@ -81,19 +81,14 @@ def non_max_suppress(field: GradientField) -> np.ndarray:
     h, w = mag.shape
     padded = np.zeros((h + 2, w + 2))  # off-image neighbors count as 0
     padded[1:-1, 1:-1] = mag
-
     t = field.theta_deg
-    bins = np.full(t.shape, 0, dtype=np.int32)
-    bins[(t > 22.5) & (t <= 67.5)] = 45
-    bins[(t > 67.5) & (t <= 112.5)] = 90
-    bins[(t > 112.5) & (t <= 157.5)] = 135
-
+    # The bin counts the bounds below theta; above 157.5 degrees it wraps to 0.
+    bins = ((t > 22.5).view(np.int8) + (t > 67.5) + (t > 112.5) + (t > 157.5)) % 4
     keep = np.ones(mag.shape, dtype=bool)
-    for b, ((dx1, dy1), (dx2, dy2)) in _NEIGHBORS.items():
-        sel = bins == b
+    for b, ((dx1, dy1), (dx2, dy2)) in enumerate(_NEIGHBORS):
         n1 = padded[1 + dy1 : 1 + dy1 + h, 1 + dx1 : 1 + dx1 + w]
         n2 = padded[1 + dy2 : 1 + dy2 + h, 1 + dx2 : 1 + dx2 + w]
-        keep &= ~sel | ((n1 <= mag) & (n2 <= mag))
+        keep &= (bins != b) | ((n1 <= mag) & (n2 <= mag))
     return np.where(keep, mag, 0.0)
 
 
@@ -106,10 +101,14 @@ def hysteresis(nms: np.ndarray, low: float, high: float) -> EdgeMap:
     if low > high:
         raise ValueError("need low <= high")
     weak = (nms >= low) & (nms > 0)
-    labels = label_components(weak, 8)
-    seeded = np.zeros(labels.max() + 1, dtype=bool)
-    seeded[labels[weak & (nms >= high)]] = True
-    return EdgeMap(seeded[labels])
+    edges = np.zeros(nms.shape, dtype=bool)
+    box = bounding_box(weak)  # every 8-component of weak pixels lies inside it
+    if box is not None:
+        labels = label_components(weak[box], 8)
+        seeded = np.zeros(labels.max() + 1, dtype=bool)
+        seeded[labels[weak[box] & (nms[box] >= high)]] = True
+        edges[box] = seeded[labels]
+    return EdgeMap(edges)
 
 
 def chamfer_manhattan(edges: EdgeMap) -> np.ndarray:

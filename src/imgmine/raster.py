@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -90,7 +92,8 @@ def _next_token(data: bytes, pos: int):
 
 
 def read_pgm(data: bytes) -> GrayImage:
-    """Parse a binary PGM (P5, maxval <= 255) into a GrayImage."""
+    """Parse a binary PGM (P5, maxval <= 255) into a GrayImage, values rescaled to 0..255
+    (v * 255 / maxval, rounded half up)."""
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmError(f"bad magic {magic!r} at byte 0 (expected P5)")
@@ -116,6 +119,7 @@ def read_pgm(data: bytes) -> GrayImage:
     if maxval < 255 and (a > maxval).any():
         at = int(np.argmax(a > maxval))
         raise PgmError(f"pixel {a[at]} above maxval {maxval} at byte {pos + at}")
+    a = a if maxval == 255 else (a.astype(np.int32) * 255 + maxval // 2) // maxval
     return GrayImage(a.reshape(height, width))
 
 
@@ -125,10 +129,25 @@ def write_pgm(img: GrayImage) -> bytes:
     return header + img.pixels.tobytes()
 
 
+@lru_cache(maxsize=256)
+def border_index(n: int, half: int) -> np.ndarray:
+    """Read-only indices -half..n+half-1 clipped to 0..n-1: the gather of edge replication."""
+    index = np.clip(np.arange(-half, n + half), 0, n - 1)
+    index.setflags(write=False)
+    return index
+
+
 def replicate_border(a: np.ndarray, half: int, axis: int) -> np.ndarray:
     """a widened by `half` copies of its first and last slice along axis (edge replication)."""
-    n = a.shape[axis]
-    return a.take(np.clip(np.arange(-half, n + half), 0, n - 1), axis=axis)
+    return a.take(border_index(a.shape[axis], half), axis=axis)
+
+
+def bounding_box(bits: np.ndarray, margin: int = 0):
+    """Slices of the smallest box holding every True cell, widened by margin; None if none is."""
+    rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(bits.any(axis=0))
+    if not rows.size:
+        return None
+    return tuple(slice(max(i[0] - margin, 0), i[-1] + 1 + margin) for i in (rows, cols))
 
 
 def threshold(img: GrayImage, t: int) -> BinaryImage:

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .prep import dilate, square3
-from .raster import EdgeMap, GrayImage, label_components
+from .raster import BinaryImage, EdgeMap, GrayImage, bounding_box, label_components
 
 FEATURE_NAMES = (
     "area",
@@ -27,6 +27,7 @@ ITEM_CLASSES = {v: k for k, v in CLASS_ITEMS.items()}
 NO_OBJECT_ITEM = 999  # sentinel for images with no extracted regions
 
 GLCM_LEVELS = 8
+_I = np.arange(GLCM_LEVELS).reshape(-1, 1)  # level of row i; _I.T is the level of column j
 
 
 class TdbError(ValueError):
@@ -89,8 +90,9 @@ class TransactionDB:
 def _fill_holes(mask: np.ndarray) -> np.ndarray:
     """Fill background pockets not reachable from the border (4-connected background)."""
     pockets = label_components(~mask, 4)
-    border = np.concatenate([pockets[0], pockets[-1], pockets[:, 0], pockets[:, -1]])
-    return mask | ~np.isin(pockets, border)
+    reached = np.zeros(pockets.max() + 1, dtype=bool)
+    reached[np.concatenate([pockets[0], pockets[-1], pockets[:, 0], pockets[:, -1]])] = True
+    return mask | ~reached[pockets]
 
 
 def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
@@ -98,16 +100,23 @@ def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
 
     Components smaller than min_area are dropped; the result is ordered by
     (bounding-box top-left corner, area) so extraction is deterministic.
+    The stages run on the edge box widened by the dilation's reach: background
+    outside it reaches the border in a straight line, and raster order is kept.
     """
     if (edges.height, edges.width) != (img.height, img.width):
         raise ValueError("edge map and image dimensions differ")
-    labels = label_components(_fill_holes(dilate(edges, square3()).bits), 8).ravel()
+    box = bounding_box(edges.bits, 1)
+    if box is None:
+        return []
+    crop = BinaryImage(edges.bits[box])
+    labels = label_components(_fill_holes(dilate(crop, square3()).bits), 8).ravel()
     pixels = np.argsort(labels, kind="stable")  # by component, raster order within each
     sizes = np.bincount(labels)
     regions = []
     for stop, size in zip(np.cumsum(sizes)[1:], sizes[1:]):
         if size >= min_area:
-            ys, xs = np.divmod(pixels[stop - size : stop], img.width)
+            ys, xs = np.divmod(pixels[stop - size : stop], crop.width)
+            ys, xs = ys + box[0].start, xs + box[1].start
             bbox = (int(ys[0]), int(xs.min()), int(ys[-1]), int(xs.max()))
             regions.append(Region(coords=np.stack([ys, xs], axis=1).astype(np.int64), bbox=bbox))
     regions.sort(key=lambda r: (r.bbox[0], r.bbox[1], r.area))
@@ -131,17 +140,14 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
     inside[ys - y0, xs - x0] = True
     pair = inside[:, :-1] & inside[:, 1:]  # (y, x) and (y, x + 1) both in the region
     i, j = levels[:, :-1][pair], levels[:, 1:][pair]
-    counts = np.zeros((GLCM_LEVELS, GLCM_LEVELS), dtype=np.float64)
-    np.add.at(counts, (i, j), 1)
-    np.add.at(counts, (j, i), 1)
-    total = counts.sum()
-    if total == 0:
+    if not i.size:
         raise ValueError("GLCM undefined: no horizontally adjacent pixel pair in region")
-    p = counts / total
-    ii, jj = np.meshgrid(np.arange(GLCM_LEVELS), np.arange(GLCM_LEVELS), indexing="ij")
-    contrast = float(((ii - jj) ** 2 * p).sum())
+    counts = np.bincount(i * GLCM_LEVELS + j, minlength=GLCM_LEVELS**2).reshape(GLCM_LEVELS, -1)
+    counts = (counts + counts.T).astype(np.float64)  # symmetric: each pair both ways
+    p = counts / counts.sum()
+    contrast = float(((_I - _I.T) ** 2 * p).sum())
     energy = float((p * p).sum())
-    homogeneity = float((p / (1.0 + np.abs(ii - jj))).sum())
+    homogeneity = float((p / (1.0 + np.abs(_I - _I.T))).sum())
     nz = p[p > 0]
     entropy = float(-(nz * np.log2(nz)).sum())
     return FeatureVector(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Manifest, ManifestEntry, PipelineConfig, config_to_json, write_manifest
-from .edge import conv1d_replicate, gaussian_kernel_1d
+from .edge import conv1d_replicate, gaussian_kernels
 from .raster import GrayImage, write_pgm
 from .segment import CLASSES
 
@@ -30,7 +30,7 @@ def _background(rng, size):
         + 14.0 * np.cos(2 * np.pi * y / size + phase2)
     )
     noise = rng.normal(0.0, 2.0, size=(size, size))
-    k = gaussian_kernel_1d(1.0)
+    k = gaussian_kernels(1.0)[0]
     noise = conv1d_replicate(conv1d_replicate(noise, k, axis=1), k, axis=0)
     return base + noise
 

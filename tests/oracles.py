@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's FP-tree / separable-filter
 code paths: supports come from exhaustive subset enumeration, convolutions
 from direct O(n^2 k^2) summation, medians from sorting each neighbourhood,
-erosion and dilation from testing each member at each pixel,
+erosion and dilation from testing each member at each pixel, non-maximum
+suppression from a per-pixel if/else over the direction bins,
 distances from all-pairs minimization,
 connected components from a pixel-by-pixel flood fill.
 """
@@ -126,6 +127,27 @@ def dilate_brute(mask, se):
     return out
 
 
+def nms_brute(mag, theta):
+    """Per pixel: bin theta by if/else, zero it if either along-gradient neighbour is larger."""
+    h, w = mag.shape
+    out = np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            t = theta[y, x]
+            if t <= 22.5 or t > 157.5:
+                dy, dx = 0, 1
+            elif t <= 67.5:
+                dy, dx = 1, 1
+            elif t <= 112.5:
+                dy, dx = 1, 0
+            else:
+                dy, dx = -1, 1
+            around = [mag[y + s * dy, x + s * dx] if 0 <= y + s * dy < h and 0 <= x + s * dx < w
+                      else 0.0 for s in (-1, 1)]
+            out[y, x] = mag[y, x] if max(around) <= mag[y, x] else 0.0
+    return out
+
+
 def chamfer_brute(mask):
     """All-pairs Manhattan distance to the nearest True cell."""
     ys, xs = np.nonzero(mask)
@@ -161,6 +183,43 @@ def flood_fill_labels(mask, connectivity):
                         out[ny, nx] = n
                         stack.append((ny, nx))
     return out
+
+
+def border_masks():
+    """(name, mask) cases whose set pixels meet the image edge, where a bounding-box crop is
+    clipped; with the degenerate shapes and the all-set and empty masks."""
+    h, w = 9, 12
+    cases = []
+    lines = {
+        "top row": (0, slice(3, 8)),
+        "bottom row": (h - 1, slice(3, 8)),
+        "left column": (slice(2, 7), 0),
+        "right column": (slice(2, 7), w - 1),
+        "one in from the top": (1, slice(3, 8)),
+        "corner block": (slice(0, 3), slice(0, 3)),
+    }
+    for name, at in lines.items():
+        m = np.zeros((h, w), dtype=bool)
+        m[at] = True
+        cases.append((name, m))
+    for y in (0, h - 1):
+        for x in (0, w - 1):
+            m = np.zeros((h, w), dtype=bool)
+            m[y, x] = True
+            cases.append((f"corner {y},{x}", m))
+    corners = np.zeros((h, w), dtype=bool)
+    corners[::h - 1, ::w - 1] = True
+    cases.append(("all four corners", corners))
+    frame = np.ones((h, w), dtype=bool)
+    frame[1:-1, 1:-1] = False
+    cases.append(("frame enclosing a hole", frame))
+    y, x = np.mgrid[0:h, 0:w]
+    arc = np.abs(np.hypot(y, x - w / 2) - 4) < 0.7  # a ring cut by the top row: its hole is open
+    cases.append(("ring whose hole touches the border", arc))
+    row = np.array([[0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool)
+    cases += [("1xN", row), ("Nx1", row.T.copy()), ("1x1 set", np.ones((1, 1), dtype=bool))]
+    cases += [("all set", np.ones((h, w), dtype=bool)), ("empty", np.zeros((h, w), dtype=bool))]
+    return cases
 
 
 def glcm_counts_brute(pixels, coords, levels=8):

@@ -12,8 +12,7 @@ from imgmine import harc
 from imgmine.cli import main as cli_main
 from imgmine.edge import (
     chamfer_manhattan,
-    gaussian_deriv_kernel_1d,
-    gaussian_kernel_1d,
+    gaussian_kernels,
     gradients,
     non_max_suppress,
 )
@@ -155,8 +154,7 @@ def test_criterion_3(seven_tx_db, dbs):
 @criterion(4, "separable gradients == 2D convolution; unique step ridge; exact chamfer")
 def test_criterion_4():
     rng = np.random.default_rng(8)
-    g = gaussian_kernel_1d(1.4)
-    d = gaussian_deriv_kernel_1d(1.4)
+    g, d = gaussian_kernels(1.4)
     kx, ky = np.outer(g, d), np.outer(d, g)
     for _ in range(20):
         a = rng.integers(0, 256, size=(32, 32)).astype(float)

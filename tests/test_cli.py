@@ -355,6 +355,13 @@ def test_pixel_above_maxval_exits_2_and_is_skipped_by_features(tmp_path, capsys)
     assert [t.tid for t in read_tdb_csv(out.read_bytes()).transactions] == ["img0.pgm", "img1.pgm"]
 
 
+def test_preprocess_rescales_a_maxval_below_255(tmp_path):
+    src, out = tmp_path / "white.pgm", tmp_path / "out.pgm"
+    src.write_bytes(b"P5 3 3 15\n" + bytes([15] * 9))
+    assert main(["preprocess", str(src), str(out), "--no-equalize"]) == 0
+    assert out.read_bytes() == b"P5\n3 3\n255\n" + bytes([255] * 9)
+
+
 def test_features_missing_image_partial(tmp_path):
     man = make_manifest(tmp_path, n=2)
     man.write_text(man.read_text() + "ghost.pgm,normal,train\n")

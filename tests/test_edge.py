@@ -5,17 +5,16 @@ from imgmine.config import ConfigError, PipelineConfig
 from imgmine.edge import (
     GradientField,
     chamfer_manhattan,
-    gaussian_deriv_kernel_1d,
-    gaussian_kernel_1d,
+    gaussian_kernels,
     gradients,
     hysteresis,
     non_max_suppress,
 )
 from imgmine.pipeline import detect_edges, image_feature_vectors, image_transaction
-from imgmine.raster import BinaryImage, GrayImage
+from imgmine.raster import BinaryImage, GrayImage, border_index
 from imgmine.segment import NO_OBJECT_ITEM, QuantizationModel
 
-from oracles import chamfer_brute, conv2d_clamped, flood_fill_labels
+from oracles import border_masks, chamfer_brute, conv2d_clamped, flood_fill_labels, nms_brute
 
 
 def gi(a):
@@ -36,20 +35,20 @@ def ramp_step(h=20, w=20, left=0, right=255):
 
 @pytest.mark.parametrize("sigma", [0.6, 1.0, 1.4, 2.5])
 def test_gaussian_kernel_normalized_and_symmetric(sigma):
-    k = gaussian_kernel_1d(sigma)
+    k = gaussian_kernels(sigma)[0]
     assert abs(k.sum() - 1.0) < 1e-12
     assert np.allclose(k, k[::-1])
 
 
 def test_gaussian_kernel_length():
-    assert len(gaussian_kernel_1d(1.0)) == 7
+    assert [len(k) for k in gaussian_kernels(1.0)] == [7, 7]
 
 
 def test_kernel_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        gaussian_kernel_1d(0)
+        gaussian_kernels(0)
     with pytest.raises(ValueError):
-        gaussian_deriv_kernel_1d(-1)
+        gaussian_kernels(-1)
 
 
 # ---------------------------------------------------------------- gradients
@@ -74,8 +73,7 @@ def test_gradients_vertical_step():
 
 def test_separable_equals_full_2d():
     rng = np.random.default_rng(11)
-    g = gaussian_kernel_1d(1.0)
-    d = gaussian_deriv_kernel_1d(1.0)
+    g, d = gaussian_kernels(1.0)
     kx = np.outer(g, d)  # y-smoothing rows, x-derivative columns
     ky = np.outer(d, g)
     for _ in range(3):
@@ -136,6 +134,17 @@ def test_nms_direction_bin_boundaries(theta, expected_bin):
         f = GradientField(gx=np.ones((3, 3)), gy=np.zeros((3, 3)), mag=mag,
                           theta_deg=np.full((3, 3), theta))
         assert (non_max_suppress(f)[1, 1] == 0.0) == (b == expected_bin), b
+
+
+def test_nms_matches_per_pixel_oracle():
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        shape = tuple(int(v) for v in rng.integers(1, 14, size=2))
+        mag = rng.integers(0, 4, size=shape).astype(float)  # ties between neighbours are common
+        theta = rng.choice([0.0, 22.5, 45.0, 67.5, 90.0, 112.5, 135.0, 157.5, 170.0], size=shape)
+        theta += rng.choice([0.0, 1e-9, 7.0], size=shape)
+        f = GradientField(gx=mag, gy=mag, mag=mag, theta_deg=theta % 180.0)
+        assert np.array_equal(non_max_suppress(f), nms_brute(mag, theta % 180.0))
 
 
 def test_nms_step_one_pixel_per_row():
@@ -202,6 +211,26 @@ def test_hysteresis_matches_flood_fill_oracle():
         seeded = set(components[nms >= high].tolist())
         expected = np.isin(components, sorted(seeded - {0}))
         assert np.array_equal(hysteresis(nms, low, high).bits, expected)
+
+
+@pytest.mark.parametrize("name, mask", border_masks(), ids=[name for name, _ in border_masks()])
+def test_hysteresis_at_the_crop_edges_matches_flood_fill_oracle(name, mask):
+    y, x = np.indices(mask.shape)
+    nms = np.where(mask, np.where((y + 2 * x) % 5 == 0, 9.0, 4.0), 0.0)  # weak, some strong
+    nms[~mask & ((y + x) % 7 == 3)] = 2.0  # below low: never an edge
+    components = flood_fill_labels(mask, 8)
+    seeded = set(components[nms >= 7.0].tolist()) - {0}
+    expected = np.isin(components, sorted(seeded))
+    assert np.array_equal(hysteresis(nms, 3.0, 7.0).bits, expected)
+
+
+def test_cached_kernels_and_border_index_are_read_only():
+    cached = (*gaussian_kernels(1.4), border_index(64, 5))
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert gaussian_kernels(1.4)[0] is cached[0] and border_index(64, 5) is cached[2]
+    assert border_index(4, 2).tolist() == [0, 0, 0, 1, 2, 3, 3, 3]
 
 
 # ------------------------------------------------------------------ chamfer

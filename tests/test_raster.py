@@ -66,7 +66,15 @@ def test_pixel_above_maxval_names_offset():
     # 10 header bytes; the first pixel above maxval 15 is payload byte 2.
     with pytest.raises(PgmError, match=r"200 above maxval 15 at byte 12"):
         read_pgm(b"P5 2 2 15\n" + bytes([15, 0, 200, 16]))
-    assert read_pgm(b"P5 2 2 15\n" + bytes([15, 0, 7, 3])).pixels.max() == 15
+    assert read_pgm(b"P5 2 2 15\n" + bytes([15, 0, 7, 3])).pixels.max() == 255
+
+
+def test_maxval_below_255_rescales_half_up():
+    assert read_pgm(b"P5 4 1 15\n" + bytes([15, 0, 7, 3])).pixels.tolist() == [[255, 0, 119, 51]]
+    # 127.5 rounds up to 128 at maxval 2 and at maxval 254.
+    assert read_pgm(b"P5 3 1 2\n" + bytes([0, 1, 2])).pixels.tolist() == [[0, 128, 255]]
+    assert read_pgm(b"P5 3 1 254\n" + bytes([0, 127, 254])).pixels.tolist() == [[0, 128, 255]]
+    assert read_pgm(b"P5 2 1 1\n" + bytes([0, 1])).pixels.tolist() == [[0, 255]]
 
 
 def test_header_comments_and_whitespace():

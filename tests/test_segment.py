@@ -26,7 +26,7 @@ from imgmine.segment import (
     write_tdb_csv,
 )
 
-from oracles import flood_fill_labels, glcm_counts_brute
+from oracles import border_masks, flood_fill_labels, glcm_counts_brute
 
 
 def gi(a):
@@ -139,6 +139,15 @@ def test_extract_regions_matches_flood_fill_oracle():
         img = gi(rng.integers(0, 256, size=shape))
         got = [(r.coords.tolist(), r.bbox) for r in extract_regions(edges, img, min_area)]
         assert got == oracle_regions(edges, min_area)
+
+
+@pytest.mark.parametrize("name, mask", border_masks(), ids=[name for name, _ in border_masks()])
+@pytest.mark.parametrize("min_area", [1, 5])
+def test_extract_regions_at_the_crop_edges_matches_flood_fill_oracle(name, mask, min_area):
+    edges = BinaryImage(mask)
+    img = gi(np.arange(mask.size).reshape(mask.shape) % 256)
+    got = [(r.coords.tolist(), r.bbox) for r in extract_regions(edges, img, min_area)]
+    assert got == oracle_regions(edges, min_area)
 
 
 def test_extract_regions_dimension_mismatch():

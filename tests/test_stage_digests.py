@@ -1,8 +1,9 @@
 """sha256 pins of each per-image pixel stage, byte for byte.
 
 The digests were recorded before the median network and the pad-free
-borders replaced np.median and np.pad, so a kernel rewrite that moves one
-low bit of one intermediate array fails here. Each stage's digest covers
+borders replaced np.median and np.pad, and the glcm_features one before the
+region stages were cropped to the edge box, so a kernel rewrite that moves
+one low bit of one intermediate array fails here. Each stage's digest covers
 every input image under every sigma and both equalize settings.
 """
 
@@ -15,7 +16,7 @@ from imgmine.config import PipelineConfig
 from imgmine.edge import gradients, hysteresis, non_max_suppress
 from imgmine.pipeline import RELATIVE_HIGH_FRAC, RELATIVE_LOW_FRAC, preprocess_image
 from imgmine.raster import GrayImage, read_pgm
-from imgmine.segment import extract_regions
+from imgmine.segment import FEATURE_NAMES, extract_regions, glcm_features
 from imgmine.synth import generate_corpus
 
 # 12.0 gives a 73-sample kernel, wider than every image here but the 512 one.
@@ -28,6 +29,7 @@ PINNED = {
     "non_max_suppress": "7de69ebc613f531aa43313cffacbeca2b2c1ebc497d0e8b1aa53b67401885f5d",
     "hysteresis": "2d7493af11368a3d4cc18dc444fed986555b92577224f1f50cc5ecf99cc8a334",
     "extract_regions": "a1f690f633b299308fa0a965e1f217667f294a3b06c7c42e2df0d39f0b6a18c4",
+    "glcm_features": "809e61596b26ffcd076c0941a0f3dad19723c103783caacaef024c65bba3a73b",
 }
 
 
@@ -65,6 +67,11 @@ def digests(tmp_path_factory):
                 feed(out["hysteresis"], edges.bits)
                 for region in extract_regions(edges, pre, min_area=1):
                     feed(out["extract_regions"], region.coords)
+                    try:
+                        fv = glcm_features(pre, region)
+                    except ValueError:
+                        continue  # no horizontal pair: the pipeline drops the region too
+                    feed(out["glcm_features"], np.array([fv.value(n) for n in FEATURE_NAMES]))
     return {name: d.hexdigest() for name, d in out.items()}
 
 
