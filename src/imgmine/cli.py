@@ -6,7 +6,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import fpm, harc, metrics, pipeline, synth
@@ -120,12 +119,10 @@ def _mfi_csv(mfi_with_support_per_level) -> bytes:
 def cmd_mine(args) -> int:
     cfg = _config_from_args(args)
     db = read_tdb_csv(Path(args.tdb).read_bytes())
-    minsup = Fraction(cfg.minsup).limit_denominator(10**9)
-    count = fpm.minsup_fraction_to_count(minsup, len(db)) if len(db) else 1
+    count = fpm.minsup_fraction_to_count(cfg.minsup, len(db))
     per_level = {}
-    for level, (mfi, freq) in fpm.mine_levels(db, count).items():
-        supports = dict(freq)
-        per_level[level] = [(tuple(sorted(m)), supports[m]) for m in mfi]
+    for level, (mfi, family) in fpm.mine_levels(db, count).items():
+        per_level[level] = [(tuple(sorted(m)), family[m]) for m in mfi]
     Path(args.mfi).write_bytes(_mfi_csv(per_level))
     if args.rules:
         if all(t.label is None for t in db.transactions):

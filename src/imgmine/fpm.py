@@ -1,12 +1,11 @@
-"""FP-tree construction, depth-first maximal frequent itemset mining, class rules."""
+"""FP-tree construction, frequent itemset mining and class rules: one depth-first
+pass finds the frequent family, and the maximal sets are read off it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import and_
 
 from .segment import CLASS_ITEMS, ITEM_CLASSES, Transaction, TransactionDB, coarse_item
 
@@ -135,54 +134,36 @@ def itemset_support(tree: FPTree, itemset) -> int:
     )
 
 
-def mine_mfi(tree: FPTree, L, minsup_count: int):
-    """Depth-first maximal frequent itemset search over the tree's transaction bitsets.
-
-    A search node is a head itemset and its tail: the later items whose union
-    with the head is frequent, in ascending order of that support. A node whose
-    head ∪ tail lies in a maximal set already found is pruned; a frequent
-    head ∪ tail is accepted without visiting the subtree. Children go in tail
-    order, so a set's frequent supersets are found before it. Each returned
-    set's support is recounted once with itemset_support.
-    """
-    found = {}  # maximal itemset -> support
-
-    def search(head, head_bits, candidates):
-        tail = [(item, head_bits & b) for item, b in candidates]
-        tail = [e for e in tail if e[1].bit_count() >= minsup_count]
-        tail.sort(key=lambda e: e[1].bit_count())
-        hut = head.union(item for item, _ in tail)
-        if any(hut <= m for m in found):
-            return
-        support = reduce(and_, (b for _, b in tail), head_bits).bit_count()
-        if support >= minsup_count:
-            found[hut] = support
-            return
-        for k, (item, item_bits) in enumerate(tail):
-            search(head | {item}, item_bits, tail[k + 1 :])
-
-    if L:
-        bits = tree.tidsets()
-        search(frozenset(), (1 << tree.n_transactions) - 1, [(item, bits[item]) for item, _ in L])
-    for m, support in found.items():
-        if itemset_support(tree, m) != support:
-            raise RuntimeError(f"support counts of {sorted(m)} disagree")
-    return set(found)
-
-
-def frequent_closure(mfi, tree: FPTree):
-    """Expand maximal sets into the complete frequent family, counting each
-    support as the popcount of the AND of its items' transaction bitsets."""
+def frequent_closure(tree: FPTree, L, minsup_count: int):
+    """The frequent family {itemset: support}, by size, then by sorted items: one
+    depth-first pass over the tree's transaction bitsets, items in ascending code
+    order. A frequent set's children each add one later item that keeps it frequent,
+    and a child's bitset is its parent's ANDed with that item's."""
     bits = tree.tidsets()
-    seen = {}
+    found = []  # (size, items in ascending order, support)
+
+    def search(head, tail):
+        # tail: the later items whose union with head is frequent, with that union's bitset
+        for k, (item, s_bits) in enumerate(tail):
+            s = head + (item,)
+            found.append((len(s), s, s_bits.bit_count()))
+            later = ((j, s_bits & bits[j]) for j, _ in tail[k + 1 :])
+            search(s, [(j, b) for j, b in later if b.bit_count() >= minsup_count])
+
+    search((), [(item, bits[item]) for item in sorted(item for item, _ in L)])
+    found.sort()
+    return {frozenset(s): support for _, s, support in found}
+
+
+def mine_mfi(family, tree: FPTree):
+    """The maximal sets of a frequent family: the members that are no member's
+    s - {i}. Each one's support is recounted once with itemset_support."""
+    covered = {s - {i} for s in family for i in s}
+    mfi = {m for m in family if m not in covered}
     for m in mfi:
-        items = sorted(m)
-        n = len(items)
-        for mask in range(1, 1 << n):
-            s = frozenset(items[i] for i in range(n) if mask >> i & 1)
-            if s not in seen:
-                seen[s] = reduce(and_, (bits[i] for i in s)).bit_count()
-    return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        if itemset_support(tree, m) != family[m]:
+            raise RuntimeError(f"support counts of {sorted(m)} disagree")
+    return mfi
 
 
 @dataclass(frozen=True)
@@ -215,11 +196,11 @@ def coarse_collapsed(db: TransactionDB) -> TransactionDB:
 
 
 def mine_frequent_family(db: TransactionDB, minsup_count: int):
-    """Frequent-item list, FP-tree, MFI and the expanded frequent family in one go."""
+    """Frequent-item list, FP-tree, MFI and the frequent family in one go."""
     L = frequent_items(db, minsup_count)
     tree = build_fp_tree(db, L)
-    mfi = mine_mfi(tree, L, minsup_count)
-    return L, tree, mfi, frequent_closure(mfi, tree)
+    family = frequent_closure(tree, L, minsup_count)
+    return L, tree, mine_mfi(family, tree), family
 
 
 def mine_levels(db: TransactionDB, minsup_count: int):
@@ -232,15 +213,14 @@ def mine_levels(db: TransactionDB, minsup_count: int):
     return {level: mine_frequent_family(ldb, minsup_count)[2:] for level, ldb in level_dbs}
 
 
-def generate_rules(freq, db: TransactionDB, minsup: Fraction, minconf: Fraction):
-    """Class association rules X -> c from a frequent family containing class items."""
+def generate_rules(family, db: TransactionDB, minsup: Fraction, minconf: Fraction):
+    """Class association rules X -> c from a frequent family {itemset: support}."""
     n = len(db)
     if n == 0 or all(t.label is None for t in db.transactions):
         raise ValueError("rule generation requires a labeled transaction database")
-    supports = dict(freq)
     class_items = set(CLASS_ITEMS.values())
     rules = []
-    for itemset, sup in freq:
+    for itemset, sup in family.items():
         present = itemset & class_items
         if len(present) != 1:
             continue
@@ -251,7 +231,7 @@ def generate_rules(freq, db: TransactionDB, minsup: Fraction, minconf: Fraction)
         sup_frac = Fraction(sup, n)
         if sup_frac < minsup:
             continue
-        base = supports.get(antecedent)
+        base = family.get(antecedent)
         if base is None or base == 0:
             continue
         conf = Fraction(sup, base)
@@ -268,9 +248,10 @@ def generate_rules(freq, db: TransactionDB, minsup: Fraction, minconf: Fraction)
     return rules
 
 
-def minsup_fraction_to_count(minsup: Fraction, n_transactions: int) -> int:
-    """Convert a fractional minimum support to a transaction count (ceiling)."""
-    return max(1, math.ceil(minsup * n_transactions))
+def minsup_fraction_to_count(minsup, n_transactions: int) -> int:
+    """Minimum support (the config's float or a Fraction, limited to denominators
+    <= 10**9) as a transaction count: the ceiling, and at least 1."""
+    return max(1, math.ceil(Fraction(minsup).limit_denominator(10**9) * n_transactions))
 
 
 def mine_class_rules(db: TransactionDB, minsup, minconf):
@@ -285,10 +266,10 @@ def mine_class_rules(db: TransactionDB, minsup, minconf):
     count = minsup_fraction_to_count(minsup, len(labeled))
     mfi_per_level = {}
     merged = {}
-    for level, (mfi, freq) in mine_levels(labeled, count).items():
+    for level, (mfi, family) in mine_levels(labeled, count).items():
         mfi_per_level[level] = mfi
         # The coarse database has the same rows and labels, so |D| is shared.
-        for rule in generate_rules(freq, labeled, minsup, minconf):
+        for rule in generate_rules(family, labeled, minsup, minconf):
             key = (rule.antecedent, rule.consequent)
             prev = merged.get(key)
             if prev is None or rule.confidence > prev.confidence:

@@ -128,14 +128,14 @@ def test_itemset_support_empty_tree():
 def test_mfi_seven_tx_minsup3(seven_tx_db):
     L = frequent_items(seven_tx_db, 3)
     tree = build_fp_tree(seven_tx_db, L)
-    got = {tuple(sorted(m)) for m in mine_mfi(tree, L, 3)}
+    got = {tuple(sorted(m)) for m in mine_mfi(frequent_closure(tree, L, 3), tree)}
     assert got == {(111,), (211,), (221,), (323,)}
 
 
 def test_mfi_seven_tx_minsup2(seven_tx_db):
     L = frequent_items(seven_tx_db, 2)
     tree = build_fp_tree(seven_tx_db, L)
-    got = {tuple(sorted(m)) for m in mine_mfi(tree, L, 2)}
+    got = {tuple(sorted(m)) for m in mine_mfi(frequent_closure(tree, L, 2), tree)}
     assert got == {
         (111, 211, 221),
         (111, 121),
@@ -149,7 +149,21 @@ def test_mfi_seven_tx_minsup2(seven_tx_db):
 
 def test_mfi_empty_db():
     tree = build_fp_tree(db_of(), [])
-    assert mine_mfi(tree, [], 1) == set()
+    family = frequent_closure(tree, [], 1)
+    assert family == {}
+    assert mine_mfi(family, tree) == set()
+
+
+def test_mfi_recount_catches_a_corrupt_tidset():
+    db = db_of((1, 2), (1, 2), (1, 2), (3,))
+    L = frequent_items(db, 2)
+    tree = build_fp_tree(db, L)
+    bits = tree.tidsets()
+    bits[1] &= bits[1] - 1  # item 1 loses one of its transactions
+    family = frequent_closure(tree, L, 2)
+    assert family[frozenset({1, 2})] == 2  # the FP-tree's node links still count 3
+    with pytest.raises(RuntimeError, match="disagree"):
+        mine_mfi(family, tree)
 
 
 def test_mfi_random_oracle_equivalence():
@@ -162,14 +176,14 @@ def test_mfi_random_oracle_equivalence():
         expected = maximal_sets(fam)
         _, _, mfi, closure = mine_frequent_family(db, minsup)
         assert mfi == expected
-        assert dict(closure) == fam
+        assert closure == fam
 
 
 def assert_family_matches_oracle(db, minsup):
     fam = frequent_family([t.items for t in db.transactions], minsup)
     _, _, mfi, closure = mine_frequent_family(db, minsup)
     assert mfi == maximal_sets(fam)
-    assert dict(closure) == fam
+    assert closure == fam
 
 
 @pytest.mark.parametrize(
@@ -181,12 +195,18 @@ def assert_family_matches_oracle(db, minsup):
         ([(1, 2, 3), (1, 2, 3), (1, 2), (1,), (2, 3)], 2),
         # (7, 8) has only infrequent items, so it ends at the root
         ([(1, 2), (1, 2), (7, 8), (1, 3), (3,)], 2),
-        # head ∪ tail lookahead: the root's whole tail is one frequent set
+        # every item in every row: all 31 subsets frequent, one maximal set
         ([(1, 2, 3, 4, 5)] * 3, 3),
-        # {1, 3} lies inside the earlier-found {1, 2, 3}: the covered-node prune
+        # two maximal sets share item 1; {1, 2} and {1, 3} are covered by {1, 2, 3}
         ([(1, 2, 3), (1, 2, 3), (1, 4), (1, 4)], 2),
-        # disjoint items: each maximal set is a leaf with an empty tail
+        # disjoint items: every maximal set is a single item
         ([(1,), (1,), (2,), (2,), (3,)], 2),
+        # one transaction of 10 items at minsup 1: 1,023 frequent sets, one maximal set
+        ([tuple(range(1, 11))], 1),
+        # minsup equal to |D|: only the item in every row is frequent
+        ([(1, 2, 3), (1, 2), (1, 3, 4), (1, 2, 4)], 4),
+        # 3 is frequent alone but in no frequent pair
+        ([(1, 2), (1, 2, 3), (3, 4), (1, 2, 4)], 2),
     ],
 )
 def test_mfi_search_branches_match_oracle(rows, minsup):
@@ -222,13 +242,13 @@ def test_closure_expands_pair():
     db = db_of((1, 2), (1, 2), (3,))
     L = frequent_items(db, 2)
     tree = build_fp_tree(db, L)
-    closure = dict(frequent_closure({frozenset({1, 2})}, tree))
+    closure = frequent_closure(tree, L, 2)
     assert closure == {frozenset({1}): 2, frozenset({2}): 2, frozenset({1, 2}): 2}
 
 
 def test_closure_seven_tx_minsup3(seven_tx_db):
     _, _, _, closure = mine_frequent_family(seven_tx_db, 3)
-    assert dict(closure) == {
+    assert closure == {
         frozenset({211}): 4,
         frozenset({111}): 3,
         frozenset({221}): 3,
@@ -236,12 +256,21 @@ def test_closure_seven_tx_minsup3(seven_tx_db):
     }
 
 
+def test_closure_order_is_size_then_sorted_items():
+    # generate_rules' final sort is stable, so ties keep the family's order
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        db = random_db(rng, max_items=14, max_transactions=60)
+        _, _, _, fam = mine_frequent_family(db, 2)
+        keys = [(len(s), sorted(s)) for s in fam]
+        assert keys == sorted(keys)
+
+
 def test_closure_downward_closed():
     rng = np.random.default_rng(43)
     for _ in range(10):
         db = random_db(rng)
-        _, _, _, closure = mine_frequent_family(db, 2)
-        fam = dict(closure)
+        _, _, _, fam = mine_frequent_family(db, 2)
         for s, sup in fam.items():
             for item in s:
                 if len(s) > 1:

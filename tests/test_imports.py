@@ -78,3 +78,44 @@ def test_every_definition_is_used():
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(trees) == set(UNREFERENCED)
+
+
+# perfbench/trace.py wraps functions of the package by "module.name"; a renamed or
+# moved one would only fail perfbench's own tests, so it is checked here without
+# importing the harness.
+TRACE = PACKAGE.parents[1] / "perfbench" / "trace.py"
+
+
+def traced_names(tree):
+    """The "module.name" strings of the SPANNED and HOT tuples assigned in a module."""
+    return [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in ("SPANNED", "HOT") for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+
+
+def untraceable(names, trees):
+    """The names in `names` that are not a top-level function of their module."""
+    defs = {
+        module: {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for module, tree in trees.items()
+    }
+    return [q for q in names if q.partition(".")[2] not in defs.get(q.partition(".")[0], ())]
+
+
+def test_untraceable_names_detected():
+    trace = ast.parse('SPANNED = ("a.f", "a.C", "b.g")\nHOT = ("a.h",)\nOTHER = ("a.x",)')
+    trees = {"a": ast.parse("def f(): pass\nclass C: pass\ndef g(): pass")}
+    assert traced_names(trace) == ["a.f", "a.C", "b.g", "a.h"]
+    assert untraceable(traced_names(trace), trees) == ["a.C", "b.g", "a.h"]
+
+
+def test_perfbench_traced_names_are_top_level_functions():
+    names = traced_names(ast.parse(TRACE.read_text(), filename=str(TRACE)))
+    assert "fpm.mine_mfi" in names and "fpm.itemset_support" in names
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert untraceable(names, trees) == []
