@@ -107,13 +107,12 @@ def cmd_features(args) -> int:
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
-def _mfi_csv(mfi_with_support_per_level) -> bytes:
-    lines = ["level,items,support"]
-    for level in sorted(mfi_with_support_per_level, reverse=True):
-        rows = sorted(mfi_with_support_per_level[level], key=lambda r: (len(r[0]), r[0]))
-        for items, sup in rows:
-            lines.append(f"{level},{';'.join(str(i) for i in items)},{sup}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _mfi_csv(per_level) -> bytes:
+    rows = []
+    for level in sorted(per_level, reverse=True):
+        for items, sup in sorted(per_level[level], key=lambda r: (len(r[0]), r[0])):
+            rows.append((level, ";".join(str(i) for i in items), sup))
+    return csv_text("level,items,support", rows).encode("utf-8")
 
 
 def cmd_mine(args) -> int:
@@ -208,6 +207,7 @@ def cmd_evaluate(args) -> int:
         if wanted is None or e.split == wanted
     }
     pairs = []
+    predicted_paths = set()
     for lineno, line, parts in csv_lines(Path(args.predictions).read_text()):
         if lineno == 1 and line.startswith("path,"):
             continue
@@ -215,6 +215,10 @@ def cmd_evaluate(args) -> int:
             _err(f"{args.predictions}:{lineno}: bad prediction row")
             return EXIT_SEMANTIC
         path, predicted = parts[0], parts[1]
+        if path in predicted_paths:
+            _err(f"{args.predictions}:{lineno}: {path} predicted twice")
+            return EXIT_SEMANTIC
+        predicted_paths.add(path)
         if path not in labels:
             continue
         if labels[path] is None:

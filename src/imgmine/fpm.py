@@ -7,18 +7,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .segment import CLASS_ITEMS, ITEM_CLASSES, Transaction, TransactionDB, coarse_item
+from .segment import CLASS_ITEMS, ITEM_CLASSES, Transaction, TransactionDB, coarse_item, csv_text
 
 
 class FPNode:
-    __slots__ = ("name", "count", "parent", "children", "link", "_path_items")
+    __slots__ = ("name", "count", "parent", "children", "_path_items")
 
     def __init__(self, name, parent=None):
         self.name = name
         self.count = 0
         self.parent = parent
         self.children = {}  # item -> FPNode, insertion-ordered
-        self.link = None
         self._path_items = None
 
     def path_items(self):
@@ -34,26 +33,15 @@ class FPNode:
 
 
 class HeaderEntry:
-    __slots__ = ("item", "support", "head", "_tail")
+    __slots__ = ("item", "support", "nodes")
 
     def __init__(self, item, support):
         self.item = item
         self.support = support
-        self.head = None
-        self._tail = None
-
-    def append(self, node):
-        if self.head is None:
-            self.head = node
-        else:
-            self._tail.link = node
-        self._tail = node
+        self.nodes = []  # the node-link chain: this item's nodes in insertion order
 
     def chain(self):
-        node = self.head
-        while node is not None:
-            yield node
-            node = node.link
+        return iter(self.nodes)
 
 
 class FPTree:
@@ -65,37 +53,33 @@ class FPTree:
         self.rank = {item: i for i, (item, _) in enumerate(header_order)}
         self.entries = {e.item: e for e in self.header}
         self.n_transactions = 0
-        self._tidsets = None
 
     def insert(self, items):
         """Insert one transaction already filtered and sorted in header order."""
         self.n_transactions += 1
-        self._tidsets = None
         node = self.root
         for item in items:
             child = node.children.get(item)
             if child is None:
                 child = FPNode(item, parent=node)
                 node.children[item] = child
-                self.entries[item].append(child)
+                self.entries[item].nodes.append(child)
             child.count += 1
             node = child
 
     def tidsets(self):
-        """Item -> bitset of the transactions holding it, built once. Transactions are
-        numbered in preorder, each node taking those that end at it (its count minus its
-        children's), so the node.count transactions through a node are consecutive bits."""
-        if self._tidsets is None:
-            bits = {entry.item: 0 for entry in self.header}
-            pos = 0
-            stack = list(self.root.children.values())
-            while stack:
-                node = stack.pop()
-                bits[node.name] |= ((1 << node.count) - 1) << pos
-                pos += node.count - sum(child.count for child in node.children.values())
-                stack.extend(node.children.values())
-            self._tidsets = bits
-        return self._tidsets
+        """Item -> bitset of the transactions holding it. Transactions are numbered in
+        preorder, each node taking those that end at it (its count minus its children's),
+        so the node.count transactions through a node are consecutive bits."""
+        bits = {entry.item: 0 for entry in self.header}
+        pos = 0
+        stack = list(self.root.children.values())
+        while stack:
+            node = stack.pop()
+            bits[node.name] |= ((1 << node.count) - 1) << pos
+            pos += node.count - sum(child.count for child in node.children.values())
+            stack.extend(node.children.values())
+        return bits
 
 
 def frequent_items(db: TransactionDB, minsup_count: int):
@@ -134,7 +118,7 @@ def itemset_support(tree: FPTree, itemset) -> int:
     )
 
 
-def frequent_closure(tree: FPTree, L, minsup_count: int):
+def frequent_closure(tree: FPTree, minsup_count: int):
     """The frequent family {itemset: support}, by size, then by sorted items: one
     depth-first pass over the tree's transaction bitsets, items in ascending code
     order. A frequent set's children each add one later item that keeps it frequent,
@@ -150,7 +134,7 @@ def frequent_closure(tree: FPTree, L, minsup_count: int):
             later = ((j, s_bits & bits[j]) for j, _ in tail[k + 1 :])
             search(s, [(j, b) for j, b in later if b.bit_count() >= minsup_count])
 
-    search((), [(item, bits[item]) for item in sorted(item for item, _ in L)])
+    search((), [(item, bits[item]) for item in sorted(bits)])
     found.sort()
     return {frozenset(s): support for _, s, support in found}
 
@@ -199,7 +183,7 @@ def mine_frequent_family(db: TransactionDB, minsup_count: int):
     """Frequent-item list, FP-tree, MFI and the frequent family in one go."""
     L = frequent_items(db, minsup_count)
     tree = build_fp_tree(db, L)
-    family = frequent_closure(tree, L, minsup_count)
+    family = frequent_closure(tree, minsup_count)
     return L, tree, mine_mfi(family, tree), family
 
 
@@ -226,22 +210,16 @@ def generate_rules(family, db: TransactionDB, minsup: Fraction, minconf: Fractio
             continue
         c = next(iter(present))
         antecedent = itemset - {c}
-        if not antecedent:
+        if not antecedent or sup * minsup.denominator < minsup.numerator * n:
             continue
-        sup_frac = Fraction(sup, n)
-        if sup_frac < minsup:
-            continue
-        base = family.get(antecedent)
-        if base is None or base == 0:
-            continue
-        conf = Fraction(sup, base)
-        if conf >= minconf:
+        base = family[antecedent]  # a frequent family holds every subset of its members
+        if sup * minconf.denominator >= minconf.numerator * base:
             rules.append(
                 AssociationRule(
                     antecedent=tuple(sorted(antecedent)),
                     consequent=ITEM_CLASSES[c],
-                    support=sup_frac,
-                    confidence=conf,
+                    support=Fraction(sup, n),
+                    confidence=Fraction(sup, base),
                 )
             )
     rules.sort(key=lambda r: (-r.confidence, -r.support, r.antecedent))
@@ -279,10 +257,9 @@ def mine_class_rules(db: TransactionDB, minsup, minconf):
 
 
 def rules_to_csv(rules) -> bytes:
-    lines = ["antecedent,class,support,confidence"]
-    for r in rules:
-        lines.append(
-            f"{';'.join(str(i) for i in r.antecedent)},{r.consequent},"
-            f"{float(r.support):.6f},{float(r.confidence):.6f}"
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    rows = (
+        (";".join(str(i) for i in r.antecedent), r.consequent,
+         f"{float(r.support):.6f}", f"{float(r.confidence):.6f}")
+        for r in rules
+    )
+    return csv_text("antecedent,class,support,confidence", rows).encode("utf-8")

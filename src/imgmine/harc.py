@@ -29,7 +29,7 @@ class RuleAttribute:
     rule: AssociationRule
 
     def matches(self, items) -> bool:
-        return set(self.antecedent) <= set(items)
+        return set(self.antecedent).issubset(items)
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,13 @@ def gain(records, attr: RuleAttribute) -> float:
     """Information gain of partitioning records by the attribute's truth value."""
     if not records:
         raise ValueError("gain undefined for an empty record set")
-    total = len(records)
-    parts = {True: [], False: []}
-    for items, label in records:
-        parts[attr.matches(items)].append(label)
+    parts = {True: [], False: []}  # True first: the subtraction order fixes the float result
+    for record in records:
+        parts[attr.matches(record[0])].append(record)
     g = entropy(_class_counts(records).values())
-    for labels in parts.values():
-        if labels:
-            counts = {}
-            for lab in labels:
-                counts[lab] = counts.get(lab, 0) + 1
-            g -= (len(labels) / total) * entropy(counts.values())
+    for part in parts.values():
+        if part:
+            g -= (len(part) / len(records)) * entropy(_class_counts(part).values())
     return g
 
 
@@ -177,17 +173,12 @@ def train(
             break
 
     records = [(_augmented_items(t), t.label) for t in labeled]
-    default = _majority(_class_counts(records))
-    if attrs:
-        tree = induce_tree(records, attrs)
-    else:
-        tree = Leaf(label=default, distribution=_class_counts(records))
     return HarcModel(
         rules=rules,
         attributes=attrs,
-        tree=tree,
+        tree=induce_tree(records, attrs),
         quantization=quantization or QuantizationModel(),
-        default_class=default,
+        default_class=_majority(_class_counts(records)),
         config=config,
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .segment import CLASSES
+from .segment import CLASSES, csv_text
 
 ABNORMAL = ("benign", "malignant")  # positive class; normal is negative
 
@@ -105,10 +105,7 @@ def report(m: MultiClassMatrix):
         text_lines.append(
             f"{t:>9} " + " ".join(f"{m.get(t, p):>9}" for p in CLASSES)
         )
-    csv_lines = ["metric,value"]
-    for name, v in measures:
-        csv_lines.append(f"{name},{float(v) * 100:.1f}")
-    csv_lines.append("matrix," + ",".join(CLASSES))
-    for t in CLASSES:
-        csv_lines.append(f"{t}," + ",".join(str(m.get(t, p)) for p in CLASSES))
-    return "\n".join(text_lines) + "\n", ("\n".join(csv_lines) + "\n").encode("utf-8")
+    rows = [(name, f"{float(v) * 100:.1f}") for name, v in measures]
+    rows.append(("matrix", *CLASSES))
+    rows.extend((t, *(m.get(t, p) for p in CLASSES)) for t in CLASSES)
+    return "\n".join(text_lines) + "\n", csv_text("metric,value", rows).encode("utf-8")

@@ -282,6 +282,9 @@ def read_tdb_csv(data: bytes) -> TransactionDB:
             items = tuple(int(s) for s in items_str.split(";") if s)
         except ValueError:
             raise TdbError(f"line {lineno}: non-numeric item in {items_str!r}") from None
+        reserved = [i for i in items if i in ITEM_CLASSES]
+        if reserved:
+            raise TdbError(f"line {lineno}: item {reserved[0]} is a reserved class code")
         try:
             transactions.append(Transaction(tid=tid, items=items, label=label or None))
         except ValueError as exc:

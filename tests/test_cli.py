@@ -227,6 +227,18 @@ def test_evaluate_unknown_predicted_label_exits_3(tmp_path):
     assert main(["evaluate", str(pred), str(man)]) == 3
 
 
+def test_evaluate_path_predicted_twice_exits_3(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text(
+        "path,predicted,fired_rule_count\n"
+        "a.pgm,normal,0\nb.pgm,benign,0\nb.pgm,benign,0\nb.pgm,normal,0\n"
+    )
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\na.pgm,normal,test\nb.pgm,benign,test\n")
+    assert main(["evaluate", str(pred), str(man)]) == 3
+    assert f"{pred}:4: b.pgm predicted twice" in capsys.readouterr().err
+
+
 def test_evaluate_undefined_measure_exits_3(tmp_path, capsys):
     pred = tmp_path / "pred.csv"
     pred.write_text("path,predicted,fired_rule_count\na.pgm,normal,0\n")
@@ -280,6 +292,16 @@ def test_malformed_tdb_exits_3(tmp_path):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(TDB_HEADER + b"a,,1;x\n")
     assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv")]) == 3
+
+
+def test_tdb_holding_a_class_code_exits_3(tmp_path, capsys):
+    tdb = tmp_path / "t.csv"
+    rows = b"a,normal,111;902\nb,normal,111;902\nc,benign,121\nd,benign,121\n"
+    tdb.write_bytes(TDB_HEADER + rows)
+    args = ["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--rules", str(tmp_path / "r.csv")]
+    assert main(args) == 3
+    assert "line 2: item 902 is a reserved class code" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 # --------------------------------------------------------------- preprocess

@@ -128,14 +128,14 @@ def test_itemset_support_empty_tree():
 def test_mfi_seven_tx_minsup3(seven_tx_db):
     L = frequent_items(seven_tx_db, 3)
     tree = build_fp_tree(seven_tx_db, L)
-    got = {tuple(sorted(m)) for m in mine_mfi(frequent_closure(tree, L, 3), tree)}
+    got = {tuple(sorted(m)) for m in mine_mfi(frequent_closure(tree, 3), tree)}
     assert got == {(111,), (211,), (221,), (323,)}
 
 
 def test_mfi_seven_tx_minsup2(seven_tx_db):
     L = frequent_items(seven_tx_db, 2)
     tree = build_fp_tree(seven_tx_db, L)
-    got = {tuple(sorted(m)) for m in mine_mfi(frequent_closure(tree, L, 2), tree)}
+    got = {tuple(sorted(m)) for m in mine_mfi(frequent_closure(tree, 2), tree)}
     assert got == {
         (111, 211, 221),
         (111, 121),
@@ -149,7 +149,7 @@ def test_mfi_seven_tx_minsup2(seven_tx_db):
 
 def test_mfi_empty_db():
     tree = build_fp_tree(db_of(), [])
-    family = frequent_closure(tree, [], 1)
+    family = frequent_closure(tree, 1)
     assert family == {}
     assert mine_mfi(family, tree) == set()
 
@@ -160,7 +160,8 @@ def test_mfi_recount_catches_a_corrupt_tidset():
     tree = build_fp_tree(db, L)
     bits = tree.tidsets()
     bits[1] &= bits[1] - 1  # item 1 loses one of its transactions
-    family = frequent_closure(tree, L, 2)
+    tree.tidsets = lambda: bits
+    family = frequent_closure(tree, 2)
     assert family[frozenset({1, 2})] == 2  # the FP-tree's node links still count 3
     with pytest.raises(RuntimeError, match="disagree"):
         mine_mfi(family, tree)
@@ -242,7 +243,7 @@ def test_closure_expands_pair():
     db = db_of((1, 2), (1, 2), (3,))
     L = frequent_items(db, 2)
     tree = build_fp_tree(db, L)
-    closure = frequent_closure(tree, L, 2)
+    closure = frequent_closure(tree, 2)
     assert closure == {frozenset({1}): 2, frozenset({2}): 2, frozenset({1, 2}): 2}
 
 
@@ -299,6 +300,20 @@ def test_generate_rules_low_confidence_dropped():
     _, _, _, freq = mine_frequent_family(labeled, 1)
     rules = generate_rules(freq, labeled, Fraction(1, 10), Fraction(97, 100))
     assert all(r.antecedent != (101,) or r.consequent != "benign" for r in rules)
+
+
+def test_generate_rules_keeps_a_rule_at_both_thresholds_exactly():
+    labels = ["benign"] * 3 + ["normal"] * 7
+    db = db_of(*([(101,)] * 4 + [(102,)] * 6), labels=labels)  # 101 -> benign: 3 of 10, 3 of 4
+    labeled = with_class_items(db)
+    _, _, _, freq = mine_frequent_family(labeled, 1)
+    key = ((101,), "benign")
+    rules = generate_rules(freq, labeled, Fraction(3, 10), Fraction(3, 4))
+    r = {(r.antecedent, r.consequent): r for r in rules}[key]
+    assert r.support == Fraction(3, 10) and r.confidence == Fraction(3, 4)
+    for minsup, minconf in ((Fraction(31, 100), Fraction(3, 4)), (Fraction(3, 10), Fraction(76, 100))):
+        rules = generate_rules(freq, labeled, minsup, minconf)
+        assert key not in {(r.antecedent, r.consequent) for r in rules}
 
 
 def test_generate_rules_unlabeled_errors(seven_tx_db):
