@@ -135,7 +135,11 @@ def cmd_mine(args) -> int:
 def _load_quantization(tdb_path, explicit):
     path = Path(explicit) if explicit else Path(str(tdb_path) + ".quant.json")
     if path.exists():
-        return QuantizationModel.from_dict(json.loads(path.read_text()))
+        try:
+            doc = json.loads(path.read_text())
+        except RecursionError as exc:
+            raise ValueError(f"bad quantization JSON in {path}: {exc}") from None
+        return QuantizationModel.from_dict(doc)
     _err(f"warning: no quantization at {path}; the model classifies transactions but not images")
     return QuantizationModel()
 
@@ -169,6 +173,9 @@ def cmd_classify(args) -> int:
         if differ:
             _err(f"config {args.config} and model {args.model} disagree on {', '.join(differ)}")
             return EXIT_MODEL
+    if not args.tdb and not model.quantization.ranges:
+        _err(f"model {args.model} has no quantization: it classifies transactions, not images")
+        return EXIT_MODEL
     rows = []
     failed = False
     if args.tdb:

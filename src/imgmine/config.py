@@ -75,7 +75,7 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
             doc = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"no such config file: {path}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"bad config JSON in {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} is not a JSON object")

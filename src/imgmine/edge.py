@@ -17,7 +17,6 @@ class GradientField:
     gx: np.ndarray
     gy: np.ndarray
     mag: np.ndarray
-    theta_deg: np.ndarray  # folded into [0, 180)
 
 
 FLAT_MAGNITUDE = 1e-9
@@ -59,9 +58,7 @@ def gradients(img: GrayImage, sigma: float) -> GradientField:
     # On a flat patch the derivative is zero only up to float rounding (~1e-13
     # for 8-bit input); snap that residue to an exact 0 so it is never an edge.
     mag[mag < FLAT_MAGNITUDE] = 0.0
-    theta = np.degrees(np.arctan2(gy, gx)) % 180.0
-    theta[theta == 180.0] = 0.0
-    return GradientField(gx=gx, gy=gy, mag=mag, theta_deg=theta)
+    return GradientField(gx=gx, gy=gy, mag=mag)
 
 
 # Direction bin (0, 45, 90, 135 degrees) -> the two neighbor offsets (dx, dy) along
@@ -73,6 +70,7 @@ _NEIGHBORS = (
     ((0, -1), (0, 1)),
     ((-1, 1), (1, -1)),
 )
+_TAN_22_5, _TAN_67_5 = math.tan(math.radians(22.5)), math.tan(math.radians(67.5))
 
 
 def non_max_suppress(field: GradientField) -> np.ndarray:
@@ -81,9 +79,10 @@ def non_max_suppress(field: GradientField) -> np.ndarray:
     h, w = mag.shape
     padded = np.zeros((h + 2, w + 2))  # off-image neighbors count as 0
     padded[1:-1, 1:-1] = mag
-    t = field.theta_deg
-    # The bin counts the bounds below theta; above 157.5 degrees it wraps to 0.
-    bins = ((t > 22.5).view(np.int8) + (t > 67.5) + (t > 112.5) + (t > 157.5)) % 4
+    # The bin counts the slope bounds |gy| / |gx| passes; a diagonal whose signs differ is 135.
+    ax, ay = np.abs(field.gx), np.abs(field.gy)
+    bins = (ay > _TAN_22_5 * ax).view(np.int8) + (ay > _TAN_67_5 * ax)
+    bins[(bins == 1) & ((field.gx < 0) != (field.gy < 0))] = 3
     keep = np.ones(mag.shape, dtype=bool)
     for b, ((dx1, dy1), (dx2, dy2)) in enumerate(_NEIGHBORS):
         n1 = padded[1 + dy1 : 1 + dy1 + h, 1 + dx1 : 1 + dx1 + w]

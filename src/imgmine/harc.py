@@ -236,7 +236,7 @@ def model_to_json(model: HarcModel) -> bytes:
 def model_from_json(data: bytes) -> HarcModel:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelError(f"unreadable model: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelError("model JSON is not an object")

@@ -48,6 +48,6 @@ def image_feature_vectors(img: GrayImage, cfg: PipelineConfig):
 
 
 def image_transaction(
-    img: GrayImage, cfg: PipelineConfig, qm: QuantizationModel, tid: str, label=None
+    img: GrayImage, cfg: PipelineConfig, qm: QuantizationModel, tid: str
 ) -> Transaction:
-    return image_to_transaction(image_feature_vectors(img, cfg), qm, tid, label=label)
+    return image_to_transaction(image_feature_vectors(img, cfg), qm, tid)

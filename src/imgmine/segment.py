@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -181,10 +182,18 @@ class QuantizationModel:
 
     @classmethod
     def from_dict(cls, d):
+        """What fit writes: {}, or finite [min, max] with min <= max for each of FEATURE_NAMES."""
         try:
-            return cls(ranges={name: (float(lo), float(hi)) for name, (lo, hi) in d.items()})
+            ranges = {name: (float(lo), float(hi)) for name, (lo, hi) in d.items()}
+            numbers = all(type(v) in (int, float) for bounds in d.values() for v in bounds)
         except (AttributeError, OverflowError, TypeError, ValueError):
-            raise ValueError("quantization must map each feature to [min, max]") from None
+            numbers = False
+        if not numbers or (ranges and set(ranges) != set(FEATURE_NAMES)) or not all(
+            -math.inf < lo <= hi < math.inf for lo, hi in ranges.values()
+        ):
+            raise ValueError(f"quantization must be {{}} or map each of {list(FEATURE_NAMES)} "
+                             "to a finite [min, max]")
+        return cls(ranges=ranges)
 
 
 def _fine_bin(value: float, lo: float, hi: float) -> int:

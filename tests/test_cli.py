@@ -10,6 +10,7 @@ from imgmine.config import read_manifest, write_manifest
 from imgmine.raster import read_pgm, write_pgm, GrayImage
 from imgmine.segment import (
     CLASSES,
+    FEATURE_NAMES,
     Transaction,
     TransactionDB,
     encode_item,
@@ -38,6 +39,11 @@ def labeled_tdb():
         for i in range(10):
             rows.append(Transaction(tid=f"{label}{i}", items=items, label=label))
     return write_tdb_csv(TransactionDB(transactions=rows))
+
+
+def full_quantization(**overrides):
+    """A quantization document with [0, 1] for every feature but the overridden ones."""
+    return {name: [0.0, 1.0] for name in FEATURE_NAMES} | overrides
 
 
 def dense_labeled_tdb(seed=11, n=150):
@@ -130,10 +136,15 @@ def test_malformed_model_exits_4(tmp_path):
     short_config = dict(doc, config={k: v for k, v in doc["config"].items() if k != "sigma"})
     mining_config = dict(doc, config=dict(doc["config"], minsup=0.5))
     bad_config = dict(doc, config=dict(doc["config"], sigma=0))
-    for broken in (no_rules, bad_type, out_of_range, negative, unknown_leaf, unknown_default,
-                   no_config, short_config, mining_config, bad_config):
+    nan_range = dict(doc, quantization=full_quantization(area=[float("nan"), 1.0]))
+    inverted_range = dict(doc, quantization=full_quantization(area=[2.0, 1.0]))
+    one_feature = dict(doc, quantization={"area": [0.0, 1.0]})
+    broken_docs = (no_rules, bad_type, out_of_range, negative, unknown_leaf, unknown_default,
+                   no_config, short_config, mining_config, bad_config, nan_range, inverted_range,
+                   one_feature)
+    for text in [*map(json.dumps, broken_docs), "[" * 100_000]:
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(broken))
+        model.write_text(text)
         assert main(["classify", str(model), "--tdb", str(tdb), str(tmp_path / "p.csv")]) == 4
 
 
@@ -173,6 +184,7 @@ def test_unknown_magnitude_mode_exits_3(tmp_path, capsys):
         pytest.param('{"sigma": 1%s}' % ("0" * 400), [], "not finite", id="huge-int-sigma"),
         pytest.param('{"canny_low": 0, "canny_high": 1%s}' % ("0" * 400), [], "not finite",
                      id="huge-int-canny-high"),
+        pytest.param("[" * 100_000, [], "bad config JSON", id="deeply-nested"),
     ],
 )
 def test_bad_config_document_exits_3(tmp_path, capsys, doc, flags, message):
@@ -250,8 +262,14 @@ def test_evaluate_undefined_measure_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "quant",
-    ["[]", '{"area": [1]}', '{"area": null}', '{"area": [0, 1%s]}' % ("0" * 400)],
-    ids=["list", "one-bound", "null", "huge-int"],
+    ["[]", '{"area": [1]}', '{"area": null}', '{"area": [0, 1%s]}' % ("0" * 400), "[" * 100_000,
+     json.dumps(full_quantization(area=[float("nan"), 1.0])),
+     json.dumps(full_quantization(area=[2.0, 1.0])),
+     json.dumps(full_quantization(area=["0", "1"])),
+     json.dumps(full_quantization(volume=[0.0, 1.0])),
+     '{"area": [0, 1]}'],
+    ids=["list", "one-bound", "null", "huge-int", "deeply-nested", "nan", "inverted", "strings",
+         "unknown-feature", "one-feature"],
 )
 def test_malformed_quantization_exits_3(tmp_path, quant):
     tdb = tmp_path / "t.csv"
@@ -277,15 +295,20 @@ def test_features_without_train_regions_exits_3(tmp_path, capsys):
     assert "missing range" in capsys.readouterr().err
 
 
-def test_classify_image_with_model_lacking_quantization_exits_3(tmp_path):
+def test_classify_image_with_model_lacking_quantization_exits_4(tmp_path, capsys):
+    """With no ranges a model cannot turn an image into items, even one with no object."""
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(labeled_tdb())  # no t.csv.quant.json beside it
     model = tmp_path / "model.json"
     assert main(["train", "--tdb", str(tdb), str(model)]) == 0
     write_image(tmp_path / "blob.pgm", blob_image())
-    rc = main(["classify", str(model), "--image", str(tmp_path / "blob.pgm"),
-               str(tmp_path / "pred.csv")])
-    assert rc == 3
+    write_image(tmp_path / "flat.pgm", np.full((32, 32), 90))
+    for image in ("blob.pgm", "flat.pgm"):
+        pred = tmp_path / "pred.csv"
+        rc = main(["classify", str(model), "--image", str(tmp_path / image), str(pred)])
+        assert rc == 4
+        assert "has no quantization" in capsys.readouterr().err
+        assert not pred.exists()
 
 
 def test_malformed_tdb_exits_3(tmp_path):

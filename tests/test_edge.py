@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,12 +86,6 @@ def test_separable_equals_full_2d():
         assert np.abs(f.gy - conv2d_clamped(a, ky)).max() < 1e-6
 
 
-def test_theta_range():
-    rng = np.random.default_rng(12)
-    f = gradients(gi(rng.integers(0, 256, size=(12, 12))), 1.4)
-    assert (f.theta_deg >= 0).all() and (f.theta_deg < 180).all()
-
-
 def test_exact_magnitude_consistent():
     rng = np.random.default_rng(13)
     f = gradients(gi(rng.integers(0, 256, size=(10, 10))), 1.0)
@@ -101,10 +97,7 @@ def test_exact_magnitude_consistent():
 
 def test_nms_plateau_retained():
     field = gradients(gi(np.full((8, 8), 10)), 1.0)
-    plateau = type(field)(
-        gx=np.ones((8, 8)), gy=np.zeros((8, 8)), mag=np.full((8, 8), 5.0),
-        theta_deg=np.zeros((8, 8)),
-    )
+    plateau = type(field)(gx=np.ones((8, 8)), gy=np.zeros((8, 8)), mag=np.full((8, 8), 5.0))
     assert (non_max_suppress(plateau) == 5.0).all()
 
 
@@ -112,28 +105,80 @@ def test_nms_keeps_ridge():
     mag = np.zeros((5, 5))
     mag[:, 2] = 10.0
     field_cls = type(gradients(gi(np.zeros((5, 5))), 1.0))
-    f = field_cls(gx=np.ones((5, 5)), gy=np.zeros((5, 5)), mag=mag, theta_deg=np.zeros((5, 5)))
+    f = field_cls(gx=np.ones((5, 5)), gy=np.zeros((5, 5)), mag=mag)
     out = non_max_suppress(f)
     assert (out[:, 2] == 10.0).all() and out.sum() == 50.0
 
 
 # Direction bin -> the (dx, dy) offset of one of its two along-gradient neighbours.
 BIN_NEIGHBOR = {0: (1, 0), 45: (1, 1), 90: (0, 1), 135: (1, -1)}
+TAN_22_5, TAN_67_5 = math.tan(math.radians(22.5)), math.tan(math.radians(67.5))
 
 
-@pytest.mark.parametrize(
-    "theta, expected_bin",
-    [(0.0, 0), (22.5, 0), (22.6, 45), (45.0, 45), (67.5, 45), (67.6, 90), (90.0, 90),
-     (112.5, 90), (112.6, 135), (135.0, 135), (157.5, 135), (157.6, 0), (179.9, 0)],
-)
-def test_nms_direction_bin_boundaries(theta, expected_bin):
-    """The centre is suppressed only by a stronger neighbour in its own angle's bin."""
+def nms_bin(gx, gy):
+    """The bin NMS gives a pixel of gradient (gx, gy): the neighbour pair that can zero it."""
+    suppressed_by = []
     for b, (dx, dy) in BIN_NEIGHBOR.items():
         mag = np.zeros((3, 3))
         mag[1, 1], mag[1 + dy, 1 + dx] = 5.0, 9.0
-        f = GradientField(gx=np.ones((3, 3)), gy=np.zeros((3, 3)), mag=mag,
-                          theta_deg=np.full((3, 3), theta))
-        assert (non_max_suppress(f)[1, 1] == 0.0) == (b == expected_bin), b
+        f = GradientField(gx=np.full((3, 3), gx), gy=np.full((3, 3), gy), mag=mag)
+        if non_max_suppress(f)[1, 1] == 0.0:
+            suppressed_by.append(b)
+    assert len(suppressed_by) == 1, suppressed_by
+    return suppressed_by[0]
+
+
+def unit(theta):
+    r = math.radians(theta)
+    return math.cos(r), math.sin(r)
+
+
+# Off a bound the gradient is the unit vector at theta; on one, |gy| is exactly
+# the bound times |gx|. A tie with tan 22.5 bins 0 and a tie with tan 67.5 bins
+# diagonal, whatever the signs: at 112.5 and 157.5 degrees too.
+@pytest.mark.parametrize(
+    "gx, gy, expected_bin",
+    [pytest.param(*unit(t), b, id=f"{t}-{b}") for t, b in (
+        (0.0, 0), (22.6, 45), (45.0, 45), (67.6, 90), (90.0, 90), (112.6, 135), (135.0, 135),
+        (157.6, 0), (179.9, 0))]
+    + [pytest.param(1.0, TAN_22_5, 0, id="22.5-0"), pytest.param(1.0, TAN_67_5, 45, id="67.5-45"),
+       pytest.param(-1.0, TAN_67_5, 135, id="112.5-135"),
+       pytest.param(-1.0, TAN_22_5, 0, id="157.5-0")],
+)
+def test_nms_direction_bin_boundaries(gx, gy, expected_bin):
+    """The centre is suppressed only by a stronger neighbour in its gradient's bin.
+
+    The opposite gradient (-gx, -gy) lies on the same line and bins the same.
+    """
+    assert nms_bin(gx, gy) == expected_bin
+    assert nms_bin(-gx, -gy) == expected_bin
+
+
+@pytest.mark.parametrize("bound", ["22.5", "67.5"])
+@pytest.mark.parametrize("sx, sy", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+def test_nms_direction_bin_flips_at_the_bound(bound, sx, sy):
+    """One ulp either side of tan 22.5 and tan 67.5 (|gx| = 1) lands in the bins either side."""
+    t = {"22.5": TAN_22_5, "67.5": TAN_67_5}[bound]
+    diagonal = 45 if sx == sy else 135
+    below, above = {"22.5": (0, diagonal), "67.5": (diagonal, 90)}[bound]
+    assert nms_bin(sx, sy * math.nextafter(t, -math.inf)) == below
+    assert nms_bin(sx, sy * t) == below
+    assert nms_bin(sx, sy * math.nextafter(t, math.inf)) == above
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("other", [1.0, -1.0])
+def test_nms_direction_bin_of_a_signed_zero_component(zero, other):
+    assert nms_bin(other, zero) == 0
+    assert nms_bin(zero, other) == 90
+    assert nms_bin(zero, zero) == 0
+
+
+def folded_theta(gx, gy):
+    """Per pixel, the gradient angle folded into [0, 180) as math.atan2 gives it."""
+    theta = np.vectorize(lambda x, y: math.degrees(math.atan2(y, x)) % 180.0)(gx, gy)
+    theta[theta == 180.0] = 0.0
+    return theta
 
 
 def test_nms_matches_per_pixel_oracle():
@@ -141,10 +186,18 @@ def test_nms_matches_per_pixel_oracle():
     for _ in range(30):
         shape = tuple(int(v) for v in rng.integers(1, 14, size=2))
         mag = rng.integers(0, 4, size=shape).astype(float)  # ties between neighbours are common
-        theta = rng.choice([0.0, 22.5, 45.0, 67.5, 90.0, 112.5, 135.0, 157.5, 170.0], size=shape)
-        theta += rng.choice([0.0, 1e-9, 7.0], size=shape)
-        f = GradientField(gx=mag, gy=mag, mag=mag, theta_deg=theta % 180.0)
-        assert np.array_equal(non_max_suppress(f), nms_brute(mag, theta % 180.0))
+        # Integer components: no ratio comes near tan 22.5 or tan 67.5.
+        gx, gy = rng.integers(-6, 7, size=(2, *shape)).astype(float)
+        f = GradientField(gx=gx, gy=gy, mag=mag)
+        assert np.array_equal(non_max_suppress(f), nms_brute(mag, folded_theta(gx, gy)))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.4, 3.0])
+def test_nms_of_image_gradients_matches_per_pixel_oracle(sigma):
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        f = gradients(gi(rng.integers(0, 256, size=(12, 12))), sigma)
+        assert np.array_equal(non_max_suppress(f), nms_brute(f.mag, folded_theta(f.gx, f.gy)))
 
 
 def test_nms_step_one_pixel_per_row():
