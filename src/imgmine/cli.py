@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import fpm, harc, metrics, pipeline, synth
 from .config import EXTRACTION_KEYS, ConfigError, ManifestError, load_config, read_manifest
-from .prep import equalize, median3x3, opening_mask
+from .prep import opening_mask
 from .raster import GrayImage, PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
@@ -55,9 +56,7 @@ def _config_from_args(args):
 
 def cmd_preprocess(args) -> int:
     cfg = _config_from_args(args)
-    img = _read_image(args.input)
-    stage1 = equalize(img) if cfg.equalize else img
-    stage2 = median3x3(stage1)
+    stage1, stage2 = pipeline.preprocess_stages(_read_image(args.input), cfg)
     Path(args.output).write_bytes(write_pgm(stage2))
     if args.dump_dir:
         dump = Path(args.dump_dir)
@@ -69,24 +68,42 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+def _each_image(fn, jobs, skip):
+    """[(job, fn(job))] over (name, ...) jobs in order, computed by pipeline.map_images.
+
+    A job that raises one of the `skip` errors is reported under its name and
+    left out; any other error is raised. Returns (pairs, whether one was left out).
+    """
+    done, failed = [], False
+    for job, (result, exc) in zip(jobs, pipeline.map_images(fn, jobs)):
+        if isinstance(exc, skip):
+            _err(f"{job[0]}: {exc}")
+            failed = True
+        elif exc is not None:
+            raise exc
+        else:
+            done.append((job, result))
+    return done, failed
+
+
 def _manifest_tdb(manifest, entries, cfg):
     """Features per entry, quantization fit on the train split, one transaction per image.
 
     Unreadable images are reported and skipped. Only train entries keep their
     label. Returns (db, quantization, whether any image was skipped).
     """
-    per_image = []  # (entry, fvs)
-    failed = False
-    for entry in entries:
-        try:
-            img = _read_image(manifest.resolve(entry))
-            per_image.append((entry, pipeline.image_feature_vectors(img, cfg)))
-        except (OSError, PgmError, ValueError) as exc:
-            _err(f"{entry.path}: {exc}")
-            failed = True
+    done, failed = _each_image(
+        lambda job: pipeline.image_feature_vectors(_read_image(manifest.resolve(job[1])), cfg),
+        [(entry.path, entry) for entry in entries],
+        (OSError, PgmError, ValueError),
+    )
+    per_image = [(entry, fvs) for (_, entry), fvs in done]
     qm = QuantizationModel.fit(
         fv for entry, fvs in per_image if entry.split == "train" for fv in fvs
     )
+    if not qm.ranges:
+        _err("warning: no training image yields a region, so the quantization is empty; "
+             "a model trained on it classifies transactions but not images")
     transactions = [
         image_to_transaction(
             fvs, qm, entry.path, label=entry.label if entry.split == "train" else None
@@ -189,16 +206,14 @@ def cmd_classify(args) -> int:
             entries = [(e.path, manifest.resolve(e)) for e in manifest.entries]
         else:
             entries = [(args.image, Path(args.image))]
-        for name, path in entries:
-            try:
-                img = _read_image(path)
-            except (OSError, PgmError) as exc:
-                if not args.manifest:
-                    raise
-                _err(f"{name}: {exc}")  # skip it, as features does
-                failed = True
-                continue
-            t = pipeline.image_transaction(img, model.config, model.quantization, tid=name)
+        done, failed = _each_image(
+            lambda job: pipeline.image_transaction(
+                _read_image(job[1]), model.config, model.quantization, tid=job[0]
+            ),
+            entries,
+            (OSError, PgmError) if args.manifest else (),  # a manifest skips, as features does
+        )
+        for (name, _), t in done:
             label, fired = harc.classify(model, t)
             rows.append((name, label, len(fired)))
     Path(args.output).write_text(csv_text("path,predicted,fired_rule_count", rows))
@@ -245,6 +260,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _config_from_args(args)
+    per_class, frac = args.per_class, args.train_frac
+    if not math.isfinite(frac):
+        raise ConfigError(f"--train-frac must be finite, got {frac}")
+    if per_class < 2:
+        raise ConfigError(f"--per-class must be at least 2, one image for each split, got {per_class}")
+    try:
+        n_train = round(per_class * frac)  # as synth.generate_corpus splits
+    except OverflowError:
+        raise ConfigError(f"--per-class {per_class} is beyond a float") from None
+    if not 1 <= n_train < per_class:
+        raise ConfigError(f"--train-frac {frac} puts {n_train} of each class's {per_class} images "
+                          "in the train split; each split needs at least one")
     synth.generate_corpus(
         args.out_dir, seed=cfg.seed, per_class=args.per_class, train_frac=args.train_frac
     )

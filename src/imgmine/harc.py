@@ -76,14 +76,17 @@ def _majority(counts) -> str:
     return max(sorted(counts, key=lambda c: order.get(c, 99)), key=counts.get)
 
 
-def gain(records, attr: RuleAttribute) -> float:
-    """Information gain of partitioning records by the attribute's truth value."""
+def gain(records, attr: RuleAttribute, base=None) -> float:
+    """Information gain of partitioning records by the attribute's truth value.
+
+    base is the records' own entropy, when the caller already holds it.
+    """
     if not records:
         raise ValueError("gain undefined for an empty record set")
     parts = {True: [], False: []}  # True first: the subtraction order fixes the float result
     for record in records:
         parts[attr.matches(record[0])].append(record)
-    g = entropy(_class_counts(records).values())
+    g = entropy(_class_counts(records).values()) if base is None else base
     for part in parts.values():
         if part:
             g -= (len(part) / len(records)) * entropy(_class_counts(part).values())
@@ -105,8 +108,9 @@ def induce_tree(records, attrs, attr_indices=None) -> "Leaf | Split":
     if len(counts) == 1 or not attr_indices:
         return Leaf(label=majority, distribution=counts)
     best_idx, best_gain = None, -1.0
+    base = entropy(counts.values())
     for idx in attr_indices:
-        g = gain(records, attrs[idx])
+        g = gain(records, attrs[idx], base)
         if g > best_gain + 1e-12:  # ties keep the earliest attribute
             best_idx, best_gain = idx, g
     if best_gain <= 1e-12:

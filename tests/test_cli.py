@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from imgmine import fpm, harc
+from imgmine import fpm, harc, pipeline
 from imgmine.cli import build_parser, main
-from imgmine.config import read_manifest, write_manifest
+from imgmine.config import PipelineConfig, read_manifest, write_manifest
+from imgmine.prep import equalize
 from imgmine.raster import read_pgm, write_pgm, GrayImage
 from imgmine.segment import (
     CLASSES,
@@ -343,6 +344,17 @@ def test_preprocess_writes_stage_dumps(tmp_path):
     read_pgm(out.read_bytes())  # parses back cleanly
 
 
+def test_preprocess_dumps_the_stages_the_pipeline_uses(tmp_path):
+    src, out, dump = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "stages"
+    write_image(src, blob_image())
+    img = read_pgm(src.read_bytes())
+    for flags, cfg in (([], PipelineConfig()), (["--no-equalize"], PipelineConfig(equalize=False))):
+        assert main(["preprocess", str(src), str(out), "--dump-dir", str(dump), *flags]) == 0
+        stage1 = equalize(img) if cfg.equalize else img
+        assert (dump / "stage1_equalized.pgm").read_bytes() == write_pgm(stage1)
+        assert out.read_bytes() == write_pgm(pipeline.preprocess_image(img, cfg))
+
+
 def test_preprocess_no_equalize_keeps_range(tmp_path):
     src = tmp_path / "in.pgm"
     write_image(src, np.full((8, 8), 42))
@@ -405,6 +417,30 @@ def test_preprocess_rescales_a_maxval_below_255(tmp_path):
     src.write_bytes(b"P5 3 3 15\n" + bytes([15] * 9))
     assert main(["preprocess", str(src), str(out), "--no-equalize"]) == 0
     assert out.read_bytes() == b"P5\n3 3\n255\n" + bytes([255] * 9)
+
+
+NO_REGION_WARNING = "no training image yields a region, so the quantization is empty"
+
+
+def test_manifest_without_a_training_region_warns(tmp_path, capsys):
+    """Bytes and exit codes stay as they were; only the warning is new."""
+    for i in range(3):
+        write_image(tmp_path / f"flat{i}.pgm", np.full((32, 32), 90 + i))
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\nflat0.pgm,normal,train\nflat1.pgm,benign,train\n"
+                   "flat2.pgm,normal,test\n")
+    tdb, model = tmp_path / "tdb.csv", tmp_path / "model.json"
+    assert main(["features", str(man), str(tdb)]) == 0
+    assert capsys.readouterr().err.count(NO_REGION_WARNING) == 1
+    assert (tmp_path / "tdb.csv.quant.json").read_text() == "{}\n"
+    assert tdb.read_bytes() == TDB_HEADER + b"flat0.pgm,normal,999\nflat1.pgm,benign,999\nflat2.pgm,,999\n"
+    assert main(["train", "--manifest", str(man), str(model)]) == 0
+    assert capsys.readouterr().err.count(NO_REGION_WARNING) == 1
+    man = make_manifest(tmp_path, n=2)  # two benign blobs
+    man.write_text(man.read_text() + "flat0.pgm,normal,train\n")
+    assert main(["features", str(man), str(tdb)]) == 0
+    assert main(["train", "--manifest", str(man), str(model)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_features_missing_image_partial(tmp_path):
@@ -651,3 +687,23 @@ def test_synth_writes_corpus(tmp_path):
     assert (out / "config.json").exists()
     images = sorted(p.name for p in (out / "images").iterdir())
     assert len(images) == 6
+
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--train-frac", "nan"], "--train-frac"),
+    (["--train-frac", "inf"], "--train-frac"),
+    (["--train-frac", "2"], "--train-frac"),
+    (["--train-frac", "0"], "--train-frac"),
+    (["--per-class", "2", "--train-frac", "0.2"], "--train-frac"),
+    (["--per-class", "2", "--train-frac", "0.8"], "--train-frac"),
+    (["--per-class", "1"], "--per-class"),
+    (["--per-class", "0"], "--per-class"),
+    (["--per-class", "-1"], "--per-class"),
+    (["--per-class", "9" * 400], "--per-class"),
+])
+def test_synth_settings_that_leave_a_split_empty_exit_3(tmp_path, capsys, flags, flag):
+    out = tmp_path / "corpus"
+    assert main(["synth", str(out), *flags]) == 3
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

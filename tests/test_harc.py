@@ -89,6 +89,19 @@ def test_gain_non_negative_random():
         assert gain(records, a) >= -1e-12
 
 
+def test_gain_with_the_records_entropy_given_is_bit_identical():
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        records = [
+            (set(rng.choice(10, size=rng.integers(1, 5), replace=False).tolist()), l)
+            for l in rng.choice(["normal", "benign", "malignant"], size=9)
+        ]
+        labels = [label for _, label in records]
+        base = entropy([labels.count(c) for c in dict.fromkeys(labels)])  # first-appearance order
+        a = attr(int(rng.integers(0, 10)))
+        assert gain(records, a, base) == gain(records, a)
+
+
 # -------------------------------------------------------------- induce_tree
 
 
