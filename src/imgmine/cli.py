@@ -9,12 +9,15 @@ import math
 import sys
 from pathlib import Path
 
-from . import fpm, harc, metrics, pipeline, synth
+# pipeline (and edge with it) and synth are imported inside the commands that run
+# them, so mine, train --tdb, classify --tdb and evaluate never load the image pipeline.
+from . import fpm, harc, metrics
 from .config import EXTRACTION_KEYS, ConfigError, ManifestError, load_config, read_manifest
 from .prep import opening_mask
 from .raster import GrayImage, PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
+    ITEM_CLASSES,
     QuantizationModel,
     TdbError,
     TransactionDB,
@@ -55,6 +58,8 @@ def _config_from_args(args):
 
 
 def cmd_preprocess(args) -> int:
+    from . import pipeline
+
     cfg = _config_from_args(args)
     stage1, stage2 = pipeline.preprocess_stages(_read_image(args.input), cfg)
     Path(args.output).write_bytes(write_pgm(stage2))
@@ -74,6 +79,8 @@ def _each_image(fn, jobs, skip):
     A job that raises one of the `skip` errors is reported under its name and
     left out; any other error is raised. Returns (pairs, whether one was left out).
     """
+    from . import pipeline
+
     done, failed = [], False
     for job, (result, exc) in zip(jobs, pipeline.map_images(fn, jobs)):
         if isinstance(exc, skip):
@@ -92,6 +99,8 @@ def _manifest_tdb(manifest, entries, cfg):
     Unreadable images are reported and skipped. Only train entries keep their
     label. Returns (db, quantization, whether any image was skipped).
     """
+    from . import pipeline
+
     done, failed = _each_image(
         lambda job: pipeline.image_feature_vectors(_read_image(manifest.resolve(job[1])), cfg),
         [(entry.path, entry) for entry in entries],
@@ -125,9 +134,12 @@ def cmd_features(args) -> int:
 
 
 def _mfi_csv(per_level) -> bytes:
+    """The maximal sets of each level's (FP-tree, frequent family), fine level first."""
     rows = []
     for level in sorted(per_level, reverse=True):
-        for items, sup in sorted(per_level[level], key=lambda r: (len(r[0]), r[0])):
+        tree, family = per_level[level]
+        mfi = [(tuple(sorted(m)), family[m]) for m in fpm.mine_mfi(family, tree)]
+        for items, sup in sorted(mfi, key=lambda r: (len(r[0]), r[0])):
             rows.append((level, ";".join(str(i) for i in items), sup))
     return csv_text("level,items,support", rows).encode("utf-8")
 
@@ -135,16 +147,24 @@ def _mfi_csv(per_level) -> bytes:
 def cmd_mine(args) -> int:
     cfg = _config_from_args(args)
     db = read_tdb_csv(Path(args.tdb).read_bytes())
-    count = fpm.minsup_fraction_to_count(cfg.minsup, len(db))
-    per_level = {}
-    for level, (mfi, family) in fpm.mine_levels(db, count).items():
-        per_level[level] = [(tuple(sorted(m)), family[m]) for m in mfi]
+    rules = None
+    if args.rules and db.transactions and all(t.label is not None for t in db.transactions):
+        # With every row labelled, the labelled family's sets that hold no class item
+        # are the feature family: same supports, same minsup count. One pass serves both.
+        rules, per_level = fpm.mine_class_rules(db, cfg.minsup, cfg.minconf)
+        per_level = {
+            level: (tree, {s: sup for s, sup in family.items() if s.isdisjoint(ITEM_CLASSES)})
+            for level, (tree, family) in per_level.items()
+        }
+    else:
+        per_level = fpm.mine_levels(db, fpm.minsup_fraction_to_count(cfg.minsup, len(db)))
     Path(args.mfi).write_bytes(_mfi_csv(per_level))
     if args.rules:
-        if all(t.label is None for t in db.transactions):
-            _err("rules requested but the transaction database has no labels")
-            return EXIT_SEMANTIC
-        rules, _ = fpm.mine_class_rules(db, cfg.minsup, cfg.minconf)
+        if rules is None:
+            if all(t.label is None for t in db.transactions):
+                _err("rules requested but the transaction database has no labels")
+                return EXIT_SEMANTIC
+            rules, _ = fpm.mine_class_rules(db, cfg.minsup, cfg.minconf)
         Path(args.rules).write_bytes(fpm.rules_to_csv(rules))
     return EXIT_OK
 
@@ -201,6 +221,8 @@ def cmd_classify(args) -> int:
             label, fired = harc.classify(model, t)
             rows.append((t.tid, label, len(fired)))
     else:
+        from . import pipeline
+
         if args.manifest:
             manifest = read_manifest(args.manifest)
             entries = [(e.path, manifest.resolve(e)) for e in manifest.entries]
@@ -272,6 +294,8 @@ def cmd_synth(args) -> int:
     if not 1 <= n_train < per_class:
         raise ConfigError(f"--train-frac {frac} puts {n_train} of each class's {per_class} images "
                           "in the train split; each split needs at least one")
+    from . import synth
+
     synth.generate_corpus(
         args.out_dir, seed=cfg.seed, per_class=args.per_class, train_frac=args.train_frac
     )

@@ -188,13 +188,17 @@ def mine_frequent_family(db: TransactionDB, minsup_count: int):
 
 
 def mine_levels(db: TransactionDB, minsup_count: int):
-    """Mine both hierarchy levels of db; returns {level: (MFI, frequent family)}.
+    """Mine both hierarchy levels of db; returns {level: (FP-tree, frequent family)}.
 
     Level 2 holds the fine codes, level 1 their coarse parents, in that order.
-    Both the mine command and mine_class_rules go through here.
+    Both the mine command and mine_class_rules go through here; the maximal
+    sets are left to the caller that writes them (mine_mfi).
     """
-    level_dbs = ((2, db), (1, coarse_collapsed(db)))
-    return {level: mine_frequent_family(ldb, minsup_count)[2:] for level, ldb in level_dbs}
+    per_level = {}
+    for level, ldb in ((2, db), (1, coarse_collapsed(db))):
+        tree = build_fp_tree(ldb, frequent_items(ldb, minsup_count))
+        per_level[level] = (tree, frequent_closure(tree, minsup_count))
+    return per_level
 
 
 def generate_rules(family, db: TransactionDB, minsup: Fraction, minconf: Fraction):
@@ -235,17 +239,17 @@ def minsup_fraction_to_count(minsup, n_transactions: int) -> int:
 def mine_class_rules(db: TransactionDB, minsup, minconf):
     """Mine rules at the fine level and the coarse-collapsed level.
 
-    Returns (rules, mfi_per_level) where mfi_per_level maps level -> set of
-    frozensets (level 2 = fine codes, level 1 = coarse codes).
+    Returns (rules, per_level) where per_level maps level -> (FP-tree, frequent
+    family) of the labelled rows with their class items appended (level 2 =
+    fine codes, level 1 = coarse codes).
     """
     minsup = Fraction(minsup).limit_denominator(10**9)
     minconf = Fraction(minconf).limit_denominator(10**9)
     labeled = with_class_items(db)
     count = minsup_fraction_to_count(minsup, len(labeled))
-    mfi_per_level = {}
+    per_level = mine_levels(labeled, count)
     merged = {}
-    for level, (mfi, family) in mine_levels(labeled, count).items():
-        mfi_per_level[level] = mfi
+    for _, family in per_level.values():
         # The coarse database has the same rows and labels, so |D| is shared.
         for rule in generate_rules(family, labeled, minsup, minconf):
             key = (rule.antecedent, rule.consequent)
@@ -253,7 +257,7 @@ def mine_class_rules(db: TransactionDB, minsup, minconf):
             if prev is None or rule.confidence > prev.confidence:
                 merged[key] = rule
     rules = sorted(merged.values(), key=lambda r: (-r.confidence, -r.support, r.antecedent))
-    return rules, mfi_per_level
+    return rules, per_level
 
 
 def rules_to_csv(rules) -> bytes:

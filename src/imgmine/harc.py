@@ -29,7 +29,8 @@ class RuleAttribute:
     rule: AssociationRule
 
     def matches(self, items) -> bool:
-        return set(self.antecedent).issubset(items)
+        """items: a set or frozenset of item codes."""
+        return items.issuperset(self.antecedent)
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,16 @@ def gain(records, attr: RuleAttribute, base=None) -> float:
     """
     if not records:
         raise ValueError("gain undefined for an empty record set")
-    parts = {True: [], False: []}  # True first: the subtraction order fixes the float result
-    for record in records:
-        parts[attr.matches(record[0])].append(record)
+    # Class counts of each part, labels in first-appearance order. True first:
+    # the subtraction order fixes the float result.
+    parts = {True: {}, False: {}}
+    for items, label in records:
+        counts = parts[attr.matches(items)]
+        counts[label] = counts.get(label, 0) + 1
     g = entropy(_class_counts(records).values()) if base is None else base
-    for part in parts.values():
-        if part:
-            g -= (len(part) / len(records)) * entropy(_class_counts(part).values())
+    for counts in parts.values():
+        if counts:
+            g -= (sum(counts.values()) / len(records)) * entropy(counts.values())
     return g
 
 
@@ -116,8 +120,9 @@ def induce_tree(records, attrs, attr_indices=None) -> "Leaf | Split":
     if best_gain <= 1e-12:
         return Leaf(label=majority, distribution=counts)
     attr = attrs[best_idx]
-    true_part = [r for r in records if attr.matches(r[0])]
-    false_part = [r for r in records if not attr.matches(r[0])]
+    true_part, false_part = [], []
+    for record in records:
+        (true_part if attr.matches(record[0]) else false_part).append(record)
     remaining = [i for i in attr_indices if i != best_idx]
 
     def branch(part):

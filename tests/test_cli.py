@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,6 +634,46 @@ def test_train_classify_evaluate_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy: 100.0%" in out
     assert "sensitivity,100.0" in metrics_csv.read_text()
+
+
+IMPORT_GATE = """
+import json, sys
+from pathlib import Path
+from imgmine.cli import main
+
+d = Path(sys.argv[1])
+image = ("imgmine.pipeline", "imgmine.edge", "imgmine.synth")
+codes = [
+    main(["mine", str(d / "t.csv"), "--mfi", str(d / "m.csv"), "--rules", str(d / "r.csv")]),
+    main(["train", "--tdb", str(d / "t.csv"), str(d / "model.json")]),
+    main(["classify", str(d / "model.json"), "--tdb", str(d / "t.csv"), str(d / "pred.csv")]),
+    main(["evaluate", str(d / "pred.csv"), str(d / "tids.csv")]),
+]
+after_tdb = [m for m in image if m in sys.modules]
+codes.append(main(["features", str(d / "manifest.csv"), str(d / "f.csv")]))
+print(json.dumps({"codes": codes, "after_tdb": after_tdb,
+                  "after_features": [m for m in image if m in sys.modules]}))
+"""
+
+
+def test_tdb_commands_never_load_the_image_pipeline(tmp_path):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(labeled_tdb())
+    tids = [t.tid for t in read_tdb_csv(tdb.read_bytes()).transactions]
+    (tmp_path / "tids.csv").write_text(
+        "path,label,split\n" + "".join(f"{t},{t.rstrip('0123456789')},test\n" for t in tids)
+    )
+    make_manifest(tmp_path, n=2)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GATE, str(tmp_path)], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["codes"] == [0] * 5
+    assert loaded["after_tdb"] == []
+    assert "imgmine.pipeline" in loaded["after_features"]  # the gate can fail
 
 
 def test_train_honours_levels(tmp_path):

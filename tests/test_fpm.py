@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from imgmine import fpm
+from imgmine.cli import main
 from imgmine.fpm import (
     build_fp_tree,
     coarse_collapsed,
@@ -13,9 +15,18 @@ from imgmine.fpm import (
     mine_class_rules,
     mine_frequent_family,
     mine_mfi,
+    minsup_fraction_to_count,
     with_class_items,
 )
-from imgmine.segment import CLASS_ITEMS, Transaction, TransactionDB
+from imgmine.segment import (
+    CLASS_ITEMS,
+    CLASSES,
+    Transaction,
+    TransactionDB,
+    coarse_item,
+    encode_item,
+    write_tdb_csv,
+)
 
 from oracles import brute_rules, frequent_family, maximal_sets, random_db, support_count
 
@@ -352,9 +363,97 @@ def test_coarse_collapsed():
 def test_mine_class_rules_two_levels():
     labels = ["benign"] * 5 + ["normal"] * 5
     db = db_of(*([(111, 122)] * 5 + [(999,)] * 5), labels=labels)
-    rules, mfi_per_level = mine_class_rules(db, 0.10, 0.97)
-    assert set(mfi_per_level) == {1, 2}
+    rules, per_level = mine_class_rules(db, 0.10, 0.97)
+    assert list(per_level) == [2, 1]
     antecedents = {r.antecedent for r in rules}
     assert (111, 122) in antecedents  # fine level
     assert (110, 120) in antecedents  # coarse level
     assert all(r.confidence >= Fraction(97, 100) for r in rules)
+
+
+# ------------------------------------------------- one mining pass per level
+
+
+def feature_db(rng, mixed=False):
+    """Random TDB over the fine codes of two features, so the coarse level merges
+    them; with mixed, every fourth row has no label."""
+    universe = [encode_item(feature, fine) for feature in (1, 2) for fine in (1, 2, 3, 4)]
+    rows = []
+    for i in range(int(rng.integers(6, 25))):
+        items = rng.choice(universe, size=int(rng.integers(1, 6)), replace=False).tolist()
+        label = None if mixed and i % 4 == 3 else CLASSES[int(rng.integers(0, 3))]
+        rows.append(Transaction(tid=f"{i:03d}", items=tuple(sorted(items)), label=label))
+    return TransactionDB(transactions=rows)
+
+
+def level_rows(db):
+    """{level: item sets}: level 2 the fine codes, level 1 their coarse parents."""
+    return {2: [set(t.items) for t in db.transactions],
+            1: [{coarse_item(i) for i in t.items} for t in db.transactions]}
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_mine_rules_writes_the_mfi_of_mine_alone(tmp_path, monkeypatch, mixed):
+    """A fully labelled TDB mines each level once; a mixed one keeps the unlabelled pass.
+    Either way the MFI CSV is the one mine writes without --rules, and the brute force's."""
+    passes = []
+    real_mine_levels = fpm.mine_levels
+    monkeypatch.setattr(fpm, "mine_levels", lambda *a: passes.append(a) or real_mine_levels(*a))
+    rng = np.random.default_rng(61 + mixed)
+    for k in range(15):
+        db = feature_db(rng, mixed)
+        tdb = tmp_path / f"t{k}.csv"
+        tdb.write_bytes(write_tdb_csv(db))
+        minsup = float(rng.choice([0.1, 0.2, 0.3]))
+        flags = ["--minsup", str(minsup), "--minconf", "0.5"]
+        alone, with_rules = tmp_path / f"alone{k}.csv", tmp_path / f"with{k}.csv"
+        assert main(["mine", str(tdb), "--mfi", str(alone), *flags]) == 0
+        passes.clear()
+        rules = ["--rules", str(tmp_path / f"rules{k}.csv")]
+        assert main(["mine", str(tdb), "--mfi", str(with_rules), *rules, *flags]) == 0
+        assert len(passes) == (2 if mixed else 1)
+        assert with_rules.read_bytes() == alone.read_bytes()
+
+        count = minsup_fraction_to_count(minsup, len(db))
+        expected = set()
+        for level, rows in level_rows(db).items():
+            fam = frequent_family(rows, count)
+            expected |= {(level, tuple(sorted(m)), fam[m]) for m in maximal_sets(fam)}
+        got = {
+            (int(level), tuple(int(i) for i in items.split(";")), int(sup))
+            for level, items, sup in (line.split(",") for line in alone.read_text().splitlines()[1:])
+        }
+        assert got == expected
+
+
+def test_mine_rules_on_a_labelled_tdb_still_recounts_the_mfi(tmp_path, monkeypatch):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(write_tdb_csv(feature_db(np.random.default_rng(5))))
+    monkeypatch.setattr(fpm, "itemset_support", lambda tree, itemset: -1)
+    with pytest.raises(RuntimeError, match="disagree"):
+        main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--rules", str(tmp_path / "r.csv")])
+
+
+def test_mine_class_rules_recounts_nothing_and_matches_brute_rules(monkeypatch):
+    recounts = []
+    monkeypatch.setattr(fpm, "itemset_support", lambda *a: recounts.append(a))
+    rng = np.random.default_rng(67)
+    class_items = sorted(CLASS_ITEMS.values())
+    minsup, minconf = Fraction(1, 10), Fraction(1, 2)
+    for _ in range(10):
+        db = feature_db(rng, mixed=True)
+        rules, per_level = mine_class_rules(db, minsup, minconf)
+        labeled = with_class_items(db)
+        count = minsup_fraction_to_count(minsup, len(labeled))
+        expected = set()
+        for level, rows in level_rows(labeled).items():
+            tree, family = per_level[level]
+            assert tree.n_transactions == len(labeled)
+            assert family == frequent_family(rows, count)
+            expected |= brute_rules(rows, class_items, minsup, minconf)
+        got = {
+            (frozenset(r.antecedent), CLASS_ITEMS[r.consequent], r.support * len(labeled))
+            for r in rules
+        }
+        assert got == expected
+    assert recounts == []
