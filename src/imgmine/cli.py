@@ -9,11 +9,11 @@ import math
 import sys
 from pathlib import Path
 
-# pipeline (and edge with it) and synth are imported inside the commands that run
-# them, so mine, train --tdb, classify --tdb and evaluate never load the image pipeline.
+# pipeline (and edge and prep with it), synth and prep.opening_mask are imported inside
+# the commands that run them, so mine, train --tdb, classify --tdb and evaluate never
+# load the image pipeline or numpy.
 from . import fpm, harc, metrics
 from .config import EXTRACTION_KEYS, ConfigError, ManifestError, load_config, read_manifest
-from .prep import opening_mask
 from .raster import GrayImage, PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
@@ -59,6 +59,7 @@ def _config_from_args(args):
 
 def cmd_preprocess(args) -> int:
     from . import pipeline
+    from .prep import opening_mask
 
     cfg = _config_from_args(args)
     stage1, stage2 = pipeline.preprocess_stages(_read_image(args.input), cfg)
@@ -177,6 +178,8 @@ def _load_quantization(tdb_path, explicit):
         except RecursionError as exc:
             raise ValueError(f"bad quantization JSON in {path}: {exc}") from None
         return QuantizationModel.from_dict(doc)
+    if explicit:
+        raise FileNotFoundError(f"no such quantization: {explicit}")
     _err(f"warning: no quantization at {path}; the model classifies transactions but not images")
     return QuantizationModel()
 

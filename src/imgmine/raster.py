@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
+# numpy is imported inside each function that uses it: mine, train --tdb,
+# classify --tdb and evaluate import this module through segment and cli, and
+# must not pay numpy's import.
 
 
 class PgmError(ValueError):
@@ -15,6 +17,7 @@ class GrayImage:
     """8-bit grayscale image, row-major, origin top-left (x = column, y = row)."""
 
     def __init__(self, pixels):
+        import numpy as np
         a = np.asarray(pixels)
         if a.ndim != 2:
             raise ValueError("pixels must be a 2D array")
@@ -36,6 +39,7 @@ class GrayImage:
         return self.pixels.shape[0]
 
     def __eq__(self, other):
+        import numpy as np
         return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
 
     def __repr__(self):
@@ -46,6 +50,7 @@ class BinaryImage:
     """Boolean foreground mask with the same geometry conventions as GrayImage."""
 
     def __init__(self, bits):
+        import numpy as np
         a = np.asarray(bits, dtype=bool)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("mask must be 2D with dimensions >= 1")
@@ -61,6 +66,7 @@ class BinaryImage:
         return self.bits.shape[0]
 
     def __eq__(self, other):
+        import numpy as np
         return isinstance(other, BinaryImage) and np.array_equal(self.bits, other.bits)
 
     def __repr__(self):
@@ -94,6 +100,7 @@ def _next_token(data: bytes, pos: int):
 def read_pgm(data: bytes) -> GrayImage:
     """Parse a binary PGM (P5, maxval <= 255) into a GrayImage, values rescaled to 0..255
     (v * 255 / maxval, rounded half up)."""
+    import numpy as np
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmError(f"bad magic {magic!r} at byte 0 (expected P5)")
@@ -132,6 +139,7 @@ def write_pgm(img: GrayImage) -> bytes:
 @lru_cache(maxsize=256)
 def border_index(n: int, half: int) -> np.ndarray:
     """Read-only indices -half..n+half-1 clipped to 0..n-1: the gather of edge replication."""
+    import numpy as np
     index = np.clip(np.arange(-half, n + half), 0, n - 1)
     index.setflags(write=False)
     return index
@@ -144,6 +152,7 @@ def replicate_border(a: np.ndarray, half: int, axis: int) -> np.ndarray:
 
 def bounding_box(bits: np.ndarray, margin: int = 0):
     """Slices of the smallest box holding every True cell, widened by margin; None if none is."""
+    import numpy as np
     rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(bits.any(axis=0))
     if not rows.size:
         return None
@@ -164,6 +173,7 @@ def label_components(bits, connectivity: int) -> np.ndarray:
     run labelling: find the row runs, join the runs of adjacent rows that touch
     with union-find, then paint each run with its component's number.
     """
+    import numpy as np
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     bits = np.asarray(bits, dtype=bool)

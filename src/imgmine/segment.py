@@ -8,9 +8,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .prep import dilate, square3
+# numpy and prep are imported inside the pixel functions below (_fill_holes,
+# extract_regions, glcm_features): mine, train --tdb, classify --tdb and evaluate
+# import this module for its item codes and TDB I/O, and must not pay numpy's import.
 from .raster import BinaryImage, EdgeMap, GrayImage, bounding_box, label_components
 
 FEATURE_NAMES = (
@@ -28,7 +28,6 @@ ITEM_CLASSES = {v: k for k, v in CLASS_ITEMS.items()}
 NO_OBJECT_ITEM = 999  # sentinel for images with no extracted regions
 
 GLCM_LEVELS = 8
-_I = np.arange(GLCM_LEVELS).reshape(-1, 1)  # level of row i; _I.T is the level of column j
 
 
 class TdbError(ValueError):
@@ -90,6 +89,7 @@ class TransactionDB:
 
 def _fill_holes(mask: np.ndarray) -> np.ndarray:
     """Fill background pockets not reachable from the border (4-connected background)."""
+    import numpy as np
     pockets = label_components(~mask, 4)
     reached = np.zeros(pockets.max() + 1, dtype=bool)
     reached[np.concatenate([pockets[0], pockets[-1], pockets[:, 0], pockets[:, -1]])] = True
@@ -104,6 +104,8 @@ def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
     The stages run on the edge box widened by the dilation's reach: background
     outside it reaches the border in a straight line, and raster order is kept.
     """
+    import numpy as np
+    from .prep import dilate, square3
     if (edges.height, edges.width) != (img.height, img.width):
         raise ValueError("edge map and image dimensions differ")
     box = bounding_box(edges.bits, 1)
@@ -130,6 +132,7 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
     Intensities are quantized to 8 levels; the co-occurrence matrix is the
     symmetric horizontal-offset matrix over in-region pixel pairs.
     """
+    import numpy as np
     if region.area == 0:
         raise ValueError("region is empty")
     ys, xs = region.coords[:, 0], region.coords[:, 1]
@@ -146,9 +149,10 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
     counts = np.bincount(i * GLCM_LEVELS + j, minlength=GLCM_LEVELS**2).reshape(GLCM_LEVELS, -1)
     counts = (counts + counts.T).astype(np.float64)  # symmetric: each pair both ways
     p = counts / counts.sum()
-    contrast = float(((_I - _I.T) ** 2 * p).sum())
+    level_gap = np.arange(GLCM_LEVELS).reshape(-1, 1) - np.arange(GLCM_LEVELS)  # i - j per cell
+    contrast = float((level_gap**2 * p).sum())
     energy = float((p * p).sum())
-    homogeneity = float((p / (1.0 + np.abs(_I - _I.T))).sum())
+    homogeneity = float((p / (1.0 + np.abs(level_gap))).sum())
     nz = p[p > 0]
     entropy = float(-(nz * np.log2(nz)).sum())
     return FeatureVector(

@@ -285,6 +285,16 @@ def test_malformed_quantization_exits_3(tmp_path, quant):
     assert not model.exists()
 
 
+def test_missing_explicit_quantization_exits_2(tmp_path, capsys):
+    """Only the implicit <tdb>.quant.json may be absent; a named --quant file must exist."""
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(labeled_tdb())
+    model, nope = tmp_path / "model.json", tmp_path / "nope.json"
+    assert main(["train", "--tdb", str(tdb), str(model), "--quant", str(nope)]) == 2
+    assert f"no such quantization: {nope}" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_csv_field_beyond_the_csv_module_limit_exits_3(tmp_path):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(TDB_HEADER + b"t" * 200_000 + b",,1;2\n")
@@ -642,7 +652,7 @@ from pathlib import Path
 from imgmine.cli import main
 
 d = Path(sys.argv[1])
-image = ("imgmine.pipeline", "imgmine.edge", "imgmine.synth")
+image = ("numpy", "imgmine.prep", "imgmine.edge", "imgmine.pipeline", "imgmine.synth")
 codes = [
     main(["mine", str(d / "t.csv"), "--mfi", str(d / "m.csv"), "--rules", str(d / "r.csv")]),
     main(["train", "--tdb", str(d / "t.csv"), str(d / "model.json")]),
@@ -657,6 +667,7 @@ print(json.dumps({"codes": codes, "after_tdb": after_tdb,
 
 
 def test_tdb_commands_never_load_the_image_pipeline(tmp_path):
+    """mine, train --tdb, classify --tdb and evaluate import neither numpy nor a pixel module."""
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(labeled_tdb())
     tids = [t.tid for t in read_tdb_csv(tdb.read_bytes()).transactions]
@@ -673,7 +684,7 @@ def test_tdb_commands_never_load_the_image_pipeline(tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["codes"] == [0] * 5
     assert loaded["after_tdb"] == []
-    assert "imgmine.pipeline" in loaded["after_features"]  # the gate can fail
+    assert {"numpy", "imgmine.pipeline"} <= set(loaded["after_features"])  # the gate can fail
 
 
 def test_train_honours_levels(tmp_path):
