@@ -9,17 +9,15 @@ import math
 import sys
 from pathlib import Path
 
-# pipeline (and edge and prep with it), synth and prep.opening_mask are imported inside
-# the commands that run them, so mine, train --tdb, classify --tdb and evaluate never
-# load the image pipeline or numpy.
-from . import fpm, harc, metrics
-from .config import EXTRACTION_KEYS, ConfigError, ManifestError, load_config, read_manifest
+# Each command imports only the layers it runs, inside its own body: mine, train --tdb,
+# classify --tdb and evaluate never load numpy or a pixel module, mine loads neither harc
+# nor metrics, and evaluate neither fpm nor harc.
+from .config import EXTRACTION_KEYS, ConfigError, PipelineConfig, load_config, read_manifest
 from .raster import GrayImage, PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
     ITEM_CLASSES,
     QuantizationModel,
-    TdbError,
     TransactionDB,
     csv_lines,
     csv_text,
@@ -48,10 +46,7 @@ def _read_image(path) -> GrayImage:
 
 
 def _config_from_args(args):
-    overrides = {}
-    for key in ("sigma", "canny_low", "canny_high", "min_area", "minsup", "minconf", "seed"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
+    overrides = {k: v for k, v in vars(args).items() if k in PipelineConfig.DEFAULTS and v is not None}
     if getattr(args, "no_equalize", False):
         overrides["equalize"] = False
     return load_config(args.config, overrides)
@@ -134,18 +129,9 @@ def cmd_features(args) -> int:
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
-def _mfi_csv(per_level) -> bytes:
-    """The maximal sets of each level's (FP-tree, frequent family), fine level first."""
-    rows = []
-    for level in sorted(per_level, reverse=True):
-        tree, family = per_level[level]
-        mfi = [(tuple(sorted(m)), family[m]) for m in fpm.mine_mfi(family, tree)]
-        for items, sup in sorted(mfi, key=lambda r: (len(r[0]), r[0])):
-            rows.append((level, ";".join(str(i) for i in items), sup))
-    return csv_text("level,items,support", rows).encode("utf-8")
-
-
 def cmd_mine(args) -> int:
+    from . import fpm
+
     cfg = _config_from_args(args)
     db = read_tdb_csv(Path(args.tdb).read_bytes())
     rules = None
@@ -159,7 +145,7 @@ def cmd_mine(args) -> int:
         }
     else:
         per_level = fpm.mine_levels(db, fpm.minsup_fraction_to_count(cfg.minsup, len(db)))
-    Path(args.mfi).write_bytes(_mfi_csv(per_level))
+    Path(args.mfi).write_bytes(fpm.mfi_to_csv(per_level))
     if args.rules:
         if rules is None:
             if all(t.label is None for t in db.transactions):
@@ -185,6 +171,8 @@ def _load_quantization(tdb_path, explicit):
 
 
 def cmd_train(args) -> int:
+    from . import harc
+
     cfg = _config_from_args(args)
     failed = False
     if args.tdb:
@@ -200,6 +188,8 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     """Extract with the model's own settings; --config only checks that it agrees."""
+    from . import harc
+
     cfg = load_config(args.config) if args.config else None
     try:
         model = harc.model_from_json(Path(args.model).read_bytes())
@@ -246,6 +236,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
+
     manifest = read_manifest(args.manifest)
     wanted = None if args.split == "all" else args.split
     labels = {
@@ -394,8 +386,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, OSError, PgmError) as exc:
         _err(str(exc))
         return EXIT_IO
-    except (TdbError, ManifestError, ConfigError, ValueError, csv.Error,
-            metrics.UndefinedMetricError) as exc:
+    except (ValueError, csv.Error) as exc:  # every input error of the package is a ValueError
         _err(str(exc))
         return EXIT_SEMANTIC
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .segment import CLASSES, csv_lines, csv_text
 
@@ -27,22 +26,20 @@ EXTRACTION_KEYS = ("sigma", "canny_low", "canny_high", "equalize", "min_area")
 MAX_SIGMA = 100.0
 
 
-@dataclass(frozen=True)
 class PipelineConfig:
-    sigma: float = 1.4
-    # Absolute hysteresis thresholds; when unset, each image uses
-    # 0.1 / 0.25 of its own maximum gradient magnitude.
-    canny_low: Optional[float] = None
-    canny_high: Optional[float] = None
-    min_area: int = 25
-    minsup: float = 0.10
-    minconf: float = 0.97
-    equalize: bool = True
-    seed: int = 42
+    # Each setting with its default. canny_low and canny_high are absolute hysteresis
+    # thresholds; when unset, each image uses 0.1 / 0.25 of its own maximum gradient magnitude.
+    DEFAULTS = {"sigma": 1.4, "canny_low": None, "canny_high": None, "min_area": 25,
+                "minsup": 0.10, "minconf": 0.97, "equalize": True, "seed": 42}
+    __slots__ = tuple(DEFAULTS)
 
-    def __post_init__(self):
-        for f in fields(self):
-            value, default = getattr(self, f.name), f.default
+    def __init__(self, **values):
+        unknown = set(values) - set(self.DEFAULTS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, default in self.DEFAULTS.items():
+            value = values.get(name, default)
+            setattr(self, name, value)
             if value is None and default is None:
                 continue
             # Unset thresholds and float fields take any JSON number that fits a
@@ -50,9 +47,9 @@ class PipelineConfig:
             numeric = default is None or isinstance(default, float)
             kind = (int, float) if numeric else type(default)
             if not isinstance(value, kind) or isinstance(value, bool) != isinstance(default, bool):
-                raise ConfigError(f"config value {f.name}={value!r} has the wrong type")
+                raise ConfigError(f"config value {name}={value!r} has the wrong type")
             if numeric and not abs(value) <= sys.float_info.max:  # NaN compares false
-                raise ConfigError(f"config value {f.name}={value!r} is not finite")
+                raise ConfigError(f"config value {name}={value!r} is not finite")
         if not 0 < self.minsup <= 1:
             raise ConfigError("minsup must lie in (0, 1]")
         if not 0 < self.minconf <= 1:
@@ -65,6 +62,10 @@ class PipelineConfig:
             raise ConfigError("set both canny_low and canny_high or neither")
         if self.canny_low is not None and not 0 <= self.canny_low <= self.canny_high:
             raise ConfigError("need 0 <= canny_low <= canny_high")
+
+    def __eq__(self, other):
+        return type(other) is PipelineConfig and all(
+            getattr(self, k) == getattr(other, k) for k in self.DEFAULTS)
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
@@ -79,35 +80,29 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
             raise ConfigError(f"bad config JSON in {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} is not a JSON object")
-        known = {f.name for f in fields(PipelineConfig)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(doc)
-    cfg = PipelineConfig(**values)
+    cfg = PipelineConfig(**values)  # the file is checked on its own before a flag overrides it
     if overrides:
-        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+        cfg = PipelineConfig(**values | overrides)
     return cfg
 
 
 def config_to_json(cfg: PipelineConfig) -> str:
-    doc = {f.name: getattr(cfg, f.name) for f in fields(PipelineConfig)}
+    doc = {name: getattr(cfg, name) for name in PipelineConfig.DEFAULTS}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     path: str
     label: Optional[str]
     split: str  # "train" | "test"
 
 
-@dataclass
 class Manifest:
-    entries: list = field(default_factory=list)
-    base_dir: Path = field(default_factory=Path)
+    __slots__ = ("entries", "base_dir")
 
-    def __post_init__(self):
+    def __init__(self, entries=(), base_dir=Path()):
+        self.entries, self.base_dir = list(entries), base_dir
         paths = [e.path for e in self.entries]
         if len(set(paths)) != len(paths):
             raise ManifestError("duplicate image paths in manifest")
@@ -116,6 +111,9 @@ class Manifest:
                 raise ManifestError(f"unknown label {e.label!r} for {e.path}")
             if e.split not in ("train", "test"):
                 raise ManifestError(f"unknown split {e.split!r} for {e.path}")
+
+    def __eq__(self, other):
+        return type(other) is Manifest and (self.entries, self.base_dir) == (other.entries, other.base_dir)
 
     def split(self, which):
         return [e for e in self.entries if e.split == which]

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -12,8 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .raster import EdgeMap, GrayImage, bounding_box, label_components, replicate_border
 
 
-@dataclass(frozen=True)
-class GradientField:
+class GradientField(NamedTuple):
     gx: np.ndarray
     gy: np.ndarray
     mag: np.ndarray

@@ -4,8 +4,8 @@ pass finds the frequent family, and the maximal sets are read off it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .segment import CLASS_ITEMS, ITEM_CLASSES, Transaction, TransactionDB, coarse_item, csv_text
 
@@ -150,8 +150,7 @@ def mine_mfi(family, tree: FPTree):
     return mfi
 
 
-@dataclass(frozen=True)
-class AssociationRule:
+class AssociationRule(NamedTuple):
     antecedent: tuple  # sorted feature item codes, non-empty
     consequent: str  # class label
     support: Fraction  # fraction of |D|
@@ -258,6 +257,17 @@ def mine_class_rules(db: TransactionDB, minsup, minconf):
                 merged[key] = rule
     rules = sorted(merged.values(), key=lambda r: (-r.confidence, -r.support, r.antecedent))
     return rules, per_level
+
+
+def mfi_to_csv(per_level) -> bytes:
+    """The maximal sets of each level's (FP-tree, frequent family), fine level first."""
+    rows = []
+    for level in sorted(per_level, reverse=True):
+        tree, family = per_level[level]
+        mfi = [(tuple(sorted(m)), family[m]) for m in mine_mfi(family, tree)]
+        for items, sup in sorted(mfi, key=lambda r: (len(r[0]), r[0])):
+            rows.append((level, ";".join(str(i) for i in items), sup))
+    return csv_text("level,items,support", rows).encode("utf-8")
 
 
 def rules_to_csv(rules) -> bytes:

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .config import EXTRACTION_KEYS, PipelineConfig
 from .fpm import AssociationRule, mine_class_rules
@@ -21,8 +20,7 @@ class ModelError(ValueError):
     """Model persistence / compatibility failure."""
 
 
-@dataclass(frozen=True)
-class RuleAttribute:
+class RuleAttribute(NamedTuple):
     """Boolean test: does the rule's antecedent fall inside a transaction's items?"""
 
     antecedent: tuple
@@ -33,21 +31,18 @@ class RuleAttribute:
         return items.issuperset(self.antecedent)
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     label: str
     distribution: dict  # class -> record count at this leaf
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     attribute: int  # index into the model's attribute list
     on_true: "Leaf | Split"
     on_false: "Leaf | Split"
 
 
-@dataclass
-class HarcModel:
+class HarcModel(NamedTuple):
     rules: list
     attributes: list
     tree: "Leaf | Split"

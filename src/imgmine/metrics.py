@@ -2,40 +2,40 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .segment import CLASSES, csv_text
 
 ABNORMAL = ("benign", "malignant")  # positive class; normal is negative
 
 
-class UndefinedMetricError(ZeroDivisionError):
-    """Raised when a measure's denominator is zero; names the metric."""
+class UndefinedMetricError(ZeroDivisionError, ValueError):
+    """Raised when a measure's denominator is zero; names the metric. A ValueError: the CLI exits 3."""
 
     def __init__(self, metric):
         super().__init__(f"{metric} is undefined (zero denominator)")
         self.metric = metric
 
 
-@dataclass(frozen=True)
 class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
+    __slots__ = ("tp", "tn", "fp", "fn")
 
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
+    def __init__(self, tp: int, tn: int, fp: int, fn: int):
+        if min(tp, tn, fp, fn) < 0:
             raise ValueError("confusion counts must be non-negative")
+        self.tp, self.tn, self.fp, self.fn = tp, tn, fp, fn
+
+    def __eq__(self, other):
+        return type(other) is ConfusionCounts and (self.tp, self.tn, self.fp, self.fn) == (
+            other.tp, other.tn, other.fp, other.fn)
 
     @property
     def total(self):
         return self.tp + self.tn + self.fp + self.fn
 
 
-@dataclass(frozen=True)
-class MultiClassMatrix:
+class MultiClassMatrix(NamedTuple):
     """3x3 counts; rows = true class, columns = predicted class."""
 
     counts: dict  # (true_class, predicted_class) -> count

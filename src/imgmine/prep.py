@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .raster import BinaryImage, GrayImage, replicate_border, threshold
@@ -54,19 +52,21 @@ def median3x3(img: GrayImage) -> GrayImage:
     return GrayImage(v[4])
 
 
-@dataclass(frozen=True)
 class StructuringElement:
     """Odd-sized binary probe with its origin at the center cell."""
 
-    bits: np.ndarray
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        a = np.asarray(self.bits, dtype=bool)
+    def __init__(self, bits):
+        a = np.asarray(bits, dtype=bool)
         if a.ndim != 2 or a.shape[0] % 2 == 0 or a.shape[1] % 2 == 0:
             raise ValueError("structuring element must be 2D with odd dimensions")
         if not a[a.shape[0] // 2, a.shape[1] // 2]:
             raise ValueError("structuring element origin must be a member")
-        object.__setattr__(self, "bits", a)
+        self.bits = a
+
+    def __eq__(self, other):
+        return type(other) is StructuringElement and np.array_equal(self.bits, other.bits)
 
 
 def square3() -> StructuringElement:

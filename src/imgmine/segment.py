@@ -5,8 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # numpy and prep are imported inside the pixel functions below (_fill_holes,
 # extract_regions, glcm_features): mine, train --tdb, classify --tdb and evaluate
@@ -34,8 +33,7 @@ class TdbError(ValueError):
     """Malformed transaction database input."""
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """8-connected pixel component; coords is an (n, 2) array of (y, x)."""
 
     coords: np.ndarray
@@ -46,8 +44,7 @@ class Region:
         return self.coords.shape[0]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     area: float
     mean_intensity: float
     glcm_contrast: float
@@ -59,29 +56,33 @@ class FeatureVector:
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
 class Transaction:
-    tid: str
-    items: tuple
-    label: Optional[str] = None
+    __slots__ = ("tid", "items", "label")
 
-    def __post_init__(self):
-        items = tuple(sorted(set(int(i) for i in self.items)))
+    def __init__(self, tid: str, items, label: Optional[str] = None):
+        items = tuple(sorted(set(int(i) for i in items)))
         if any(i <= 0 for i in items):
             raise ValueError("items must be positive integers")
-        object.__setattr__(self, "items", items)
-        if self.label is not None and self.label not in CLASSES:
-            raise ValueError(f"unknown class label {self.label!r}")
+        if label is not None and label not in CLASSES:
+            raise ValueError(f"unknown class label {label!r}")
+        self.tid, self.items, self.label = tid, items, label
+
+    def __eq__(self, other):
+        return type(other) is Transaction and (self.tid, self.items, self.label) == (
+            other.tid, other.items, other.label)
 
 
-@dataclass
 class TransactionDB:
-    transactions: list = field(default_factory=list)
+    __slots__ = ("transactions",)
 
-    def __post_init__(self):
+    def __init__(self, transactions=()):
+        self.transactions = list(transactions)
         tids = [t.tid for t in self.transactions]
         if len(set(tids)) != len(tids):
             raise TdbError("duplicate tids in transaction database")
+
+    def __eq__(self, other):
+        return type(other) is TransactionDB and self.transactions == other.transactions
 
     def __len__(self):
         return len(self.transactions)
@@ -165,11 +166,16 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
     )
 
 
-@dataclass
 class QuantizationModel:
     """Per-feature (min, max) ranges learned from the training corpus."""
 
-    ranges: dict = field(default_factory=dict)  # feature name -> (min, max)
+    __slots__ = ("ranges",)
+
+    def __init__(self, ranges=None):
+        self.ranges = {} if ranges is None else ranges  # feature name -> (min, max)
+
+    def __eq__(self, other):
+        return type(other) is QuantizationModel and self.ranges == other.ranges
 
     @classmethod
     def fit(cls, fvs) -> "QuantizationModel":

@@ -190,6 +190,25 @@ def test_unknown_magnitude_mode_exits_3(tmp_path, capsys):
         pytest.param('{"canny_low": 0, "canny_high": 1%s}' % ("0" * 400), [], "not finite",
                      id="huge-int-canny-high"),
         pytest.param("[" * 100_000, [], "bad config JSON", id="deeply-nested"),
+        pytest.param('{"min_area": 2.5}', [], "config value min_area=2.5 has the wrong type",
+                     id="float-min-area"),
+        pytest.param('{"sigma": true}', [], "config value sigma=True has the wrong type", id="bool-sigma"),
+        pytest.param('{"equalize": 1}', [], "config value equalize=1 has the wrong type", id="int-equalize"),
+        pytest.param('{"minsup": 0}', [], "minsup must lie in (0, 1]", id="zero-minsup"),
+        pytest.param('{"minconf": 1.5}', [], "minconf must lie in (0, 1]", id="minconf-above-1"),
+        pytest.param('{"min_area": 0}', [], "min_area must be >= 1", id="zero-min-area"),
+        pytest.param('{"canny_low": 1}', [], "set both canny_low and canny_high or neither",
+                     id="canny-low-alone"),
+        pytest.param('{"canny_low": 5, "canny_high": 4}', [], "need 0 <= canny_low <= canny_high",
+                     id="canny-inverted"),
+        pytest.param("{}", ["--min-area", "0"], "min_area must be >= 1", id="flag-zero-min-area"),
+        pytest.param("{}", ["--sigma", "101"], "sigma must lie in (0, 100]", id="flag-sigma-above-max"),
+        pytest.param("{}", ["--canny-high", "9"], "set both canny_low and canny_high or neither",
+                     id="flag-canny-high-alone"),
+        pytest.param('{"canny_low": 5, "canny_high": 9}', ["--canny-low", "10"],
+                     "need 0 <= canny_low <= canny_high", id="flag-inverts-file-canny"),
+        pytest.param('{"sigma": -1}', ["--sigma", "2"], "sigma must lie in (0, 100]",
+                     id="flag-cannot-mend-a-bad-file"),
     ],
 )
 def test_bad_config_document_exits_3(tmp_path, capsys, doc, flags, message):
@@ -330,6 +349,35 @@ def test_malformed_tdb_exits_3(tmp_path):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(TDB_HEADER + b"a,,1;x\n")
     assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv")]) == 3
+
+
+@pytest.mark.parametrize("rows, message", [
+    (b"a,,1;0\n", "line 2: items must be positive integers"),
+    (b"a,,1;-4\n", "line 2: items must be positive integers"),
+    (b"a,cancer,1\n", "line 2: unknown class label 'cancer'"),
+], ids=["zero-item", "negative-item", "unknown-label"])
+def test_invalid_transaction_row_exits_3(tmp_path, capsys, rows, message):
+    tdb = tmp_path / "t.csv"
+    tdb.write_bytes(TDB_HEADER + rows)
+    assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv")]) == 3
+    assert capsys.readouterr().err == f"imgmine: {message}\n"
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("a.pgm,benign,train\na.pgm,normal,test\n", "duplicate image paths in manifest"),
+    ("a.pgm,benign,dev\n", "unknown split 'dev' for a.pgm"),
+    ("a.pgm,cancer,test\n", "unknown label 'cancer' for a.pgm"),
+], ids=["duplicate-path", "unknown-split", "unknown-label"])
+def test_malformed_manifest_exits_3(tmp_path, capsys, rows, message):
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\n" + rows)
+    pred = tmp_path / "pred.csv"
+    pred.write_text("path,predicted,fired_rule_count\na.pgm,normal,0\n")
+    for argv in (["features", str(man), str(tmp_path / "f.csv")], ["evaluate", str(pred), str(man)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"imgmine: {message}\n"
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_tdb_holding_a_class_code_exits_3(tmp_path, capsys):
@@ -685,6 +733,66 @@ def test_tdb_commands_never_load_the_image_pipeline(tmp_path):
     assert loaded["codes"] == [0] * 5
     assert loaded["after_tdb"] == []
     assert {"numpy", "imgmine.pipeline"} <= set(loaded["after_features"])  # the gate can fail
+
+
+STARTUP_PROBE = """
+import json, sys
+from imgmine.cli import main
+
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+PIXEL = ("numpy", "imgmine.prep", "imgmine.edge", "imgmine.pipeline", "imgmine.synth")
+# Each command in a fresh interpreter: (argv, modules it must leave unloaded, modules it
+# must load, so that the gate can fail). No command loads dataclasses. numpy itself
+# imports inspect (numpy._core.overrides), so only the numpy-free commands are held to it.
+STARTUP = {
+    "mine --rules": (["mine", "{d}/t.csv", "--mfi", "{d}/m.csv", "--rules", "{d}/r.csv"],
+                     ("inspect", "imgmine.harc", "imgmine.metrics", *PIXEL), ("imgmine.fpm",)),
+    "train --tdb": (["train", "--tdb", "{d}/t.csv", "{d}/model2.json"],
+                    ("inspect", "imgmine.metrics", *PIXEL), ("imgmine.harc",)),
+    "classify --tdb": (["classify", "{d}/model.json", "--tdb", "{d}/t.csv", "{d}/p.csv"],
+                       ("inspect", "imgmine.metrics", *PIXEL), ("imgmine.harc",)),
+    "evaluate": (["evaluate", "{d}/pred.csv", "{d}/tids.csv"],
+                 ("inspect", "imgmine.fpm", "imgmine.harc", *PIXEL), ("imgmine.metrics",)),
+    "features": (["features", "{d}/manifest.csv", "{d}/f.csv"],
+                 ("imgmine.fpm", "imgmine.harc", "imgmine.metrics"), ("numpy", "imgmine.pipeline")),
+    "classify --manifest": (["classify", "{d}/model.json", "--manifest", "{d}/manifest.csv", "{d}/pi.csv"],
+                            ("imgmine.metrics",), ("numpy", "imgmine.pipeline", "imgmine.harc")),
+    "synth": (["synth", "{d}/corpus", "--per-class", "2"],
+              ("imgmine.fpm", "imgmine.harc", "imgmine.metrics"), ("numpy", "imgmine.synth")),
+}
+
+
+@pytest.fixture(scope="module")
+def startup_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("startup")
+    (d / "t.csv").write_bytes(labeled_tdb())
+    (d / "t.csv.quant.json").write_text(json.dumps(full_quantization()))
+    assert main(["train", "--tdb", str(d / "t.csv"), str(d / "model.json")]) == 0
+    assert main(["classify", str(d / "model.json"), "--tdb", str(d / "t.csv"), str(d / "pred.csv")]) == 0
+    tids = [t.tid for t in read_tdb_csv((d / "t.csv").read_bytes()).transactions]
+    (d / "tids.csv").write_text(
+        "path,label,split\n" + "".join(f"{t},{t.rstrip('0123456789')},test\n" for t in tids)
+    )
+    make_manifest(d, n=2)
+    return d
+
+
+@pytest.mark.parametrize("command", list(STARTUP))
+def test_each_command_child_loads_only_its_layers(startup_inputs, command):
+    argv, unloaded, loaded = STARTUP[command]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *(a.format(d=startup_inputs) for a in argv)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child["code"] == 0, proc.stderr
+    modules = set(child["modules"])
+    assert sorted(modules & {"dataclasses", *unloaded}) == []
+    assert set(loaded) <= modules
 
 
 def test_train_honours_levels(tmp_path):

@@ -251,6 +251,7 @@ def test_model_json_round_trip():
     model = train(separable_db(), Fraction(1, 10), Fraction(97, 100))
     data = model_to_json(model)
     back = model_from_json(data)
+    assert back == model
     assert model_to_json(back) == data
     for t in separable_db().transactions:
         assert classify(back, t)[0] == t.label

@@ -2,6 +2,7 @@
 free; every output, message and exit code must match a one-CPU run."""
 
 import os
+import pickle
 import signal
 import time
 
@@ -10,6 +11,9 @@ import pytest
 
 from imgmine import cli, pipeline
 from imgmine.cli import main
+from imgmine.config import PipelineConfig
+from imgmine.raster import GrayImage
+from imgmine.segment import QuantizationModel
 
 from test_cli import blob_image, labeled_tdb, write_image
 
@@ -167,6 +171,22 @@ def test_outcomes_come_back_in_job_order(cpus, forks):
     assert [value for value, _ in outcomes] == [None, 1, 4, None, 16, 25, None]
     assert [str(exc) if exc else None for _, exc in outcomes] == [
         "job 0", None, None, "job 3", None, None, "job 6"]
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("kind", ["feature vectors", "transaction"])
+def test_image_outcomes_survive_the_pipe(cpus, forks, kind):
+    """The helper pickles each image's FeatureVector list or Transaction back to this process."""
+    cfg = PipelineConfig()
+    images = [GrayImage(blob_image(i).astype(np.uint8)) for i in range(4)]
+    qm = QuantizationModel.fit(fv for img in images for fv in pipeline.image_feature_vectors(img, cfg))
+    fn = {"feature vectors": lambda img: pipeline.image_feature_vectors(img, cfg),
+          "transaction": lambda img: pipeline.image_transaction(img, cfg, qm, tid="t")}[kind]
+    here = [fn(img) for img in images]
+    assert all(here) and all(pickle.loads(pickle.dumps(x, pickle.HIGHEST_PROTOCOL)) == x for x in here)
+    cpus(2)
+    assert pipeline.map_images(fn, images) == [(x, None) for x in here]
     assert len(forks) == 1
     assert_reaped(forks)
 
