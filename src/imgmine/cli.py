@@ -13,7 +13,7 @@ from pathlib import Path
 # classify --tdb and evaluate never load numpy or a pixel module, mine loads neither harc
 # nor metrics, and evaluate neither fpm nor harc.
 from .config import EXTRACTION_KEYS, ConfigError, PipelineConfig, load_config, read_manifest
-from .raster import GrayImage, PgmError, read_pgm, write_pgm
+from .raster import PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
     ITEM_CLASSES,
@@ -47,14 +47,12 @@ def _read_image(path) -> GrayImage:
 
 def _config_from_args(args):
     overrides = {k: v for k, v in vars(args).items() if k in PipelineConfig.DEFAULTS and v is not None}
-    if getattr(args, "no_equalize", False):
-        overrides["equalize"] = False
     return load_config(args.config, overrides)
 
 
 def cmd_preprocess(args) -> int:
     from . import pipeline
-    from .prep import opening_mask
+    from .prep import GrayImage, opening_mask
 
     cfg = _config_from_args(args)
     stage1, stage2 = pipeline.preprocess_stages(_read_image(args.input), cfg)
@@ -297,25 +295,15 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-SETTING_FLAGS = {
-    "--sigma": {"type": float},
-    "--canny-low": {"type": float},
-    "--canny-high": {"type": float},
-    "--min-area": {"type": int},
-    "--no-equalize": {"action": "store_true"},
-    "--minsup": {"type": float},
-    "--minconf": {"type": float},
-    "--seed": {"type": int},
-}
-IMAGE_FLAGS = ("--sigma", "--canny-low", "--canny-high", "--min-area", "--no-equalize")
-MINING_FLAGS = ("--minsup", "--minconf")
-
-
-def _add_settings(p, flags):
-    """--config plus the setting flags this command reads; flags override the file."""
+def _add_settings(p, keys):
+    """--config plus a flag for each setting this command reads; flags override the file."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    for flag in flags:
-        p.add_argument(flag, **SETTING_FLAGS[flag])
+    for key in keys:
+        default, flag = PipelineConfig.DEFAULTS[key], key.replace("_", "-")
+        if default is True:  # a setting that is on by default has a flag that turns it off
+            p.add_argument(f"--no-{flag}", dest=key, action="store_false", default=None)
+        else:
+            p.add_argument(f"--{flag}", type=float if default is None else type(default))
 
 
 def build_parser():
@@ -326,21 +314,21 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--dump-dir", help="write stage1..3 intermediate PGMs here")
-    _add_settings(p, ("--no-equalize",))
+    _add_settings(p, ("equalize",))
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("features", help="manifest -> transaction database CSV")
     p.add_argument("manifest")
     p.add_argument("output")
     p.add_argument("--quant-out", help="where to write learned quantization ranges")
-    _add_settings(p, IMAGE_FLAGS)
+    _add_settings(p, EXTRACTION_KEYS)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("mine", help="mine maximal itemsets and class rules from a TDB")
     p.add_argument("tdb")
     p.add_argument("--mfi", required=True, help="output CSV of maximal frequent itemsets")
     p.add_argument("--rules", help="output CSV of class association rules")
-    _add_settings(p, MINING_FLAGS)
+    _add_settings(p, ("minsup", "minconf"))
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="train the hybrid classifier and record its extraction config")
@@ -349,7 +337,7 @@ def build_parser():
     src.add_argument("--manifest")
     p.add_argument("--quant", help="quantization JSON (with --tdb)")
     p.add_argument("output")
-    _add_settings(p, IMAGE_FLAGS + MINING_FLAGS)
+    _add_settings(p, EXTRACTION_KEYS + ("minsup", "minconf"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="classify images or transactions with a model")
@@ -373,7 +361,7 @@ def build_parser():
     p.add_argument("out_dir")
     p.add_argument("--per-class", type=int, default=20)
     p.add_argument("--train-frac", type=float, default=0.7)
-    _add_settings(p, ("--seed",))
+    _add_settings(p, ("seed",))
     p.set_defaults(func=cmd_synth)
 
     return ap

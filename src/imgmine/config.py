@@ -74,8 +74,6 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     if path is not None:
         try:
             doc = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"no such config file: {path}") from None
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"bad config JSON in {path}: {exc}") from None
         if not isinstance(doc, dict):
@@ -127,10 +125,7 @@ MANIFEST_HEADER = "path,label,split"
 
 def read_manifest(path) -> Manifest:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise ManifestError(f"no such manifest: {path}") from None
+    text = path.read_text()
     entries = []
     for lineno, line, parts in csv_lines(text):
         if lineno == 1 and line.strip() == MANIFEST_HEADER:

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .raster import EdgeMap, GrayImage, bounding_box, label_components, replicate_border
+from .prep import EdgeMap, GrayImage, bounding_box, label_components, replicate_border
 
 
 class GradientField(NamedTuple):

@@ -96,7 +96,8 @@ def induce_tree(records, attrs, attr_indices=None) -> "Leaf | Split":
     """ID3-style induction over boolean rule attributes.
 
     records: list of (item set, class label). Attributes never repeat along a
-    path; empty branches become leaves carrying the parent's majority class.
+    path. Both parts of a split hold records: an attribute that leaves one part
+    empty has a gain of exactly 0.0, as the other part's class counts are the parent's.
     """
     if not records:
         raise ValueError("cannot induce a tree from zero records")
@@ -119,13 +120,8 @@ def induce_tree(records, attrs, attr_indices=None) -> "Leaf | Split":
     for record in records:
         (true_part if attr.matches(record[0]) else false_part).append(record)
     remaining = [i for i in attr_indices if i != best_idx]
-
-    def branch(part):
-        if not part:
-            return Leaf(label=majority, distribution={majority: 0})
-        return induce_tree(part, attrs, remaining)
-
-    return Split(attribute=best_idx, on_true=branch(true_part), on_false=branch(false_part))
+    return Split(attribute=best_idx, on_true=induce_tree(true_part, attrs, remaining),
+                 on_false=induce_tree(false_part, attrs, remaining))
 
 
 def _augmented_items(t: Transaction):
@@ -206,9 +202,9 @@ def _known_class(label):
 def _tree_from_dict(d, n_attributes):
     if "leaf" in d:
         return Leaf(label=_known_class(d["leaf"]), distribution=dict(d["distribution"]))
-    attribute = int(d["attribute"])
-    if not 0 <= attribute < n_attributes:
-        raise ValueError(f"split on attribute {attribute}; the model has {n_attributes}")
+    attribute = d["attribute"]
+    if type(attribute) is not int or not 0 <= attribute < n_attributes:
+        raise ValueError(f"split on attribute {attribute!r}; the model has {n_attributes}")
     return Split(
         attribute=attribute,
         on_true=_tree_from_dict(d["true"], n_attributes),

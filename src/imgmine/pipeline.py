@@ -8,8 +8,7 @@ import signal
 
 from .config import PipelineConfig
 from .edge import gradients, hysteresis, non_max_suppress
-from .prep import equalize, median3x3
-from .raster import EdgeMap, GrayImage
+from .prep import EdgeMap, GrayImage, equalize, median3x3
 from .segment import (
     QuantizationModel,
     Transaction,

@@ -7,10 +7,9 @@ import io
 import math
 from typing import NamedTuple, Optional
 
-# numpy and prep are imported inside the pixel functions below (_fill_holes,
-# extract_regions, glcm_features): mine, train --tdb, classify --tdb and evaluate
-# import this module for its item codes and TDB I/O, and must not pay numpy's import.
-from .raster import BinaryImage, EdgeMap, GrayImage, bounding_box, label_components
+# numpy and prep are imported inside the pixel functions below (extract_regions,
+# glcm_features): mine, train --tdb, classify --tdb and evaluate import this
+# module for its item codes and TDB I/O, and must not pay numpy's import.
 
 FEATURE_NAMES = (
     "area",
@@ -88,15 +87,6 @@ class TransactionDB:
         return len(self.transactions)
 
 
-def _fill_holes(mask: np.ndarray) -> np.ndarray:
-    """Fill background pockets not reachable from the border (4-connected background)."""
-    import numpy as np
-    pockets = label_components(~mask, 4)
-    reached = np.zeros(pockets.max() + 1, dtype=bool)
-    reached[np.concatenate([pockets[0], pockets[-1], pockets[:, 0], pockets[:, -1]])] = True
-    return mask | ~reached[pockets]
-
-
 def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
     """Close gaps (one 3x3 dilation), fill holes, label 8-connected components.
 
@@ -106,14 +96,14 @@ def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
     outside it reaches the border in a straight line, and raster order is kept.
     """
     import numpy as np
-    from .prep import dilate, square3
+    from .prep import BinaryImage, bounding_box, dilate, fill_holes, label_components, square3
     if (edges.height, edges.width) != (img.height, img.width):
         raise ValueError("edge map and image dimensions differ")
     box = bounding_box(edges.bits, 1)
     if box is None:
         return []
     crop = BinaryImage(edges.bits[box])
-    labels = label_components(_fill_holes(dilate(crop, square3()).bits), 8).ravel()
+    labels = label_components(fill_holes(dilate(crop, square3()).bits), 8).ravel()
     pixels = np.argsort(labels, kind="stable")  # by component, raster order within each
     sizes = np.bincount(labels)
     regions = []

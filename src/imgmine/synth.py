@@ -13,7 +13,8 @@ import numpy as np
 
 from .config import Manifest, ManifestEntry, PipelineConfig, config_to_json, write_manifest
 from .edge import conv1d_replicate, gaussian_kernels
-from .raster import GrayImage, write_pgm
+from .prep import GrayImage
+from .raster import write_pgm
 from .segment import CLASSES
 
 IMAGE_SIZE = 64

@@ -32,8 +32,7 @@ from imgmine.metrics import (
     sensitivity,
     specificity,
 )
-from imgmine.prep import open_, square3
-from imgmine.raster import BinaryImage, GrayImage
+from imgmine.prep import BinaryImage, GrayImage, open_, square3
 from imgmine.segment import CLASS_ITEMS, Transaction, TransactionDB
 
 from oracles import (

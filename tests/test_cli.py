@@ -11,8 +11,8 @@ import pytest
 from imgmine import fpm, harc, pipeline
 from imgmine.cli import build_parser, main
 from imgmine.config import PipelineConfig, read_manifest, write_manifest
-from imgmine.prep import equalize
-from imgmine.raster import read_pgm, write_pgm, GrayImage
+from imgmine.prep import GrayImage, equalize
+from imgmine.raster import read_pgm, write_pgm
 from imgmine.segment import (
     CLASSES,
     FEATURE_NAMES,
@@ -86,6 +86,19 @@ def test_missing_input_exits_2(tmp_path):
     assert main(["preprocess", str(tmp_path / "nope.pgm"), str(tmp_path / "out.pgm")]) == 2
 
 
+def test_missing_config_or_manifest_exits_2(tmp_path, capsys):
+    tdb, nope = tmp_path / "t.csv", tmp_path / "nope.json"
+    tdb.write_bytes(labeled_tdb())
+    mfi = tmp_path / "m.csv"
+    assert main(["mine", str(tdb), "--mfi", str(mfi), "--config", str(nope)]) == 2
+    assert str(nope) in capsys.readouterr().err
+    assert not mfi.exists()
+    out = tmp_path / "out.csv"
+    assert main(["features", str(tmp_path / "nope.csv"), str(out)]) == 2
+    assert str(tmp_path / "nope.csv") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_minconf_exits_3(tmp_path):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(labeled_tdb())
@@ -144,9 +157,11 @@ def test_malformed_model_exits_4(tmp_path):
     nan_range = dict(doc, quantization=full_quantization(area=[float("nan"), 1.0]))
     inverted_range = dict(doc, quantization=full_quantization(area=[2.0, 1.0]))
     one_feature = dict(doc, quantization={"area": [0.0, 1.0]})
+    float_split, bool_split, string_split = (dict(doc, tree=dict(doc["tree"], attribute=a))
+                                             for a in (0.5, True, "0"))
     broken_docs = (no_rules, bad_type, out_of_range, negative, unknown_leaf, unknown_default,
                    no_config, short_config, mining_config, bad_config, nan_range, inverted_range,
-                   one_feature)
+                   one_feature, float_split, bool_split, string_split)
     for text in [*map(json.dumps, broken_docs), "[" * 100_000]:
         model = tmp_path / "model.json"
         model.write_text(text)
@@ -692,47 +707,6 @@ def test_train_classify_evaluate_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy: 100.0%" in out
     assert "sensitivity,100.0" in metrics_csv.read_text()
-
-
-IMPORT_GATE = """
-import json, sys
-from pathlib import Path
-from imgmine.cli import main
-
-d = Path(sys.argv[1])
-image = ("numpy", "imgmine.prep", "imgmine.edge", "imgmine.pipeline", "imgmine.synth")
-codes = [
-    main(["mine", str(d / "t.csv"), "--mfi", str(d / "m.csv"), "--rules", str(d / "r.csv")]),
-    main(["train", "--tdb", str(d / "t.csv"), str(d / "model.json")]),
-    main(["classify", str(d / "model.json"), "--tdb", str(d / "t.csv"), str(d / "pred.csv")]),
-    main(["evaluate", str(d / "pred.csv"), str(d / "tids.csv")]),
-]
-after_tdb = [m for m in image if m in sys.modules]
-codes.append(main(["features", str(d / "manifest.csv"), str(d / "f.csv")]))
-print(json.dumps({"codes": codes, "after_tdb": after_tdb,
-                  "after_features": [m for m in image if m in sys.modules]}))
-"""
-
-
-def test_tdb_commands_never_load_the_image_pipeline(tmp_path):
-    """mine, train --tdb, classify --tdb and evaluate import neither numpy nor a pixel module."""
-    tdb = tmp_path / "t.csv"
-    tdb.write_bytes(labeled_tdb())
-    tids = [t.tid for t in read_tdb_csv(tdb.read_bytes()).transactions]
-    (tmp_path / "tids.csv").write_text(
-        "path,label,split\n" + "".join(f"{t},{t.rstrip('0123456789')},test\n" for t in tids)
-    )
-    make_manifest(tmp_path, n=2)
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GATE, str(tmp_path)], capture_output=True, text=True,
-        timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["codes"] == [0] * 5
-    assert loaded["after_tdb"] == []
-    assert {"numpy", "imgmine.pipeline"} <= set(loaded["after_features"])  # the gate can fail
 
 
 STARTUP_PROBE = """

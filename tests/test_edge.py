@@ -13,7 +13,7 @@ from imgmine.edge import (
     non_max_suppress,
 )
 from imgmine.pipeline import detect_edges, image_feature_vectors, image_transaction
-from imgmine.raster import BinaryImage, GrayImage, border_index
+from imgmine.prep import BinaryImage, GrayImage, border_index
 from imgmine.segment import NO_OBJECT_ITEM, QuantizationModel
 
 from oracles import border_masks, chamfer_brute, conv2d_clamped, flood_fill_labels, nms_brute

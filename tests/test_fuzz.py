@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from imgmine.cli import main
-from imgmine.raster import GrayImage, write_pgm
+from imgmine.prep import GrayImage
+from imgmine.raster import write_pgm
 from imgmine.segment import CLASSES
 
 # Set before any strategy is built: Hypothesis reads the constants of the

@@ -66,7 +66,8 @@ def test_entropy_empty_errors():
 
 def test_gain_constant_attribute_zero():
     records = [({1}, "benign"), ({2}, "normal")]
-    assert gain(records, attr(999)) == pytest.approx(0.0)
+    assert gain(records, attr(999)) == 0.0
+    assert gain(records, attr()) == 0.0  # the empty antecedent holds in every record
 
 
 def test_gain_perfect_split_equals_entropy():

@@ -120,3 +120,39 @@ def test_perfbench_traced_names_are_top_level_functions():
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert untraceable(names, trees) == []
+
+
+# numpy loads only in the commands that read pixels. The modules those commands alone
+# import (prep, edge, synth) import it at module level; raster and segment, which
+# every command imports, import it only in the functions that need it.
+LOCAL_NUMPY = ["raster.read_pgm", "segment.extract_regions", "segment.glcm_features"]
+
+
+def imported_modules(node):
+    """The modules an import statement names; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+
+def local_numpy_imports(node, scope=()):
+    """Dotted path of the function or class around each import of numpy inside one."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if scope and any(name.partition(".")[0] == "numpy" for name in imported_modules(child)):
+            found.append(".".join(scope))
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        found += local_numpy_imports(child, scope + (child.name,) if named else scope)
+    return found
+
+
+def test_local_numpy_imports_detected():
+    tree = ast.parse("import numpy\nclass C:\n    def f(self):\n        import numpy as np\n"
+                     "def g():\n    from numpy.linalg import norm\n    import math\n")
+    assert local_numpy_imports(tree) == ["C.f", "g"]
+
+
+def test_numpy_is_imported_in_a_function_only_where_every_command_loads_the_module():
+    found = sorted(f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+                   for name in local_numpy_imports(ast.parse(path.read_text(), filename=str(path))))
+    assert found == LOCAL_NUMPY

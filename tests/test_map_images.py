@@ -12,7 +12,7 @@ import pytest
 from imgmine import cli, pipeline
 from imgmine.cli import main
 from imgmine.config import PipelineConfig
-from imgmine.raster import GrayImage
+from imgmine.prep import GrayImage
 from imgmine.segment import QuantizationModel
 
 from test_cli import blob_image, labeled_tdb, write_image

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from imgmine.prep import (
+    BinaryImage,
+    GrayImage,
     StructuringElement,
     align_peak,
     dilate,
@@ -13,7 +15,6 @@ from imgmine.prep import (
     otsu_threshold,
     square3,
 )
-from imgmine.raster import BinaryImage, GrayImage
 
 from oracles import dilate_brute, erode_brute, median3x3_brute
 

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from imgmine.raster import (
-    BinaryImage,
-    GrayImage,
-    PgmError,
-    label_components,
-    read_pgm,
-    threshold,
-    write_pgm,
-)
+from imgmine.prep import BinaryImage, GrayImage, label_components, threshold
+from imgmine.raster import PgmError, read_pgm, write_pgm
 
 from oracles import flood_fill_labels
 

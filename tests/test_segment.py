@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from imgmine.prep import dilate, square3
-from imgmine.raster import BinaryImage, GrayImage
+from imgmine.prep import BinaryImage, GrayImage, dilate, fill_holes, square3
 from imgmine.segment import (
     FEATURE_NAMES,
     NO_OBJECT_ITEM,
@@ -14,7 +13,6 @@ from imgmine.segment import (
     TdbError,
     Transaction,
     TransactionDB,
-    _fill_holes,
     coarse_item,
     decode_item,
     encode_item,
@@ -127,7 +125,7 @@ def test_fill_holes_matches_flood_fill_oracle():
     for _ in range(60):
         shape = tuple(int(v) for v in rng.integers(1, 20, size=2))
         mask = rng.random(shape) < rng.uniform(0.2, 0.8)
-        assert np.array_equal(_fill_holes(mask), oracle_fill_holes(mask))
+        assert np.array_equal(fill_holes(mask), oracle_fill_holes(mask))
 
 
 def test_extract_regions_matches_flood_fill_oracle():

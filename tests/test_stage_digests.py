@@ -15,7 +15,8 @@ import pytest
 from imgmine.config import PipelineConfig
 from imgmine.edge import gradients, hysteresis, non_max_suppress
 from imgmine.pipeline import RELATIVE_HIGH_FRAC, RELATIVE_LOW_FRAC, preprocess_image
-from imgmine.raster import GrayImage, read_pgm
+from imgmine.prep import GrayImage
+from imgmine.raster import read_pgm
 from imgmine.segment import FEATURE_NAMES, extract_regions, glcm_features
 from imgmine.synth import generate_corpus
 
