@@ -16,7 +16,6 @@ from .config import EXTRACTION_KEYS, ConfigError, PipelineConfig, load_config, r
 from .raster import PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
-    ITEM_CLASSES,
     QuantizationModel,
     TransactionDB,
     csv_lines,
@@ -132,24 +131,12 @@ def cmd_mine(args) -> int:
 
     cfg = _config_from_args(args)
     db = read_tdb_csv(Path(args.tdb).read_bytes())
-    rules = None
-    if args.rules and db.transactions and all(t.label is not None for t in db.transactions):
-        # With every row labelled, the labelled family's sets that hold no class item
-        # are the feature family: same supports, same minsup count. One pass serves both.
-        rules, per_level = fpm.mine_class_rules(db, cfg.minsup, cfg.minconf)
-        per_level = {
-            level: (tree, {s: sup for s, sup in family.items() if s.isdisjoint(ITEM_CLASSES)})
-            for level, (tree, family) in per_level.items()
-        }
-    else:
-        per_level = fpm.mine_levels(db, fpm.minsup_fraction_to_count(cfg.minsup, len(db)))
+    rules, per_level = fpm.mine_class_rules(db, cfg.minsup, cfg.minconf)
     Path(args.mfi).write_bytes(fpm.mfi_to_csv(per_level))
     if args.rules:
-        if rules is None:
-            if all(t.label is None for t in db.transactions):
-                _err("rules requested but the transaction database has no labels")
-                return EXIT_SEMANTIC
-            rules, _ = fpm.mine_class_rules(db, cfg.minsup, cfg.minconf)
+        if all(t.label is None for t in db.transactions):
+            _err("rules requested but the transaction database has no labels")
+            return EXIT_SEMANTIC
         Path(args.rules).write_bytes(fpm.rules_to_csv(rules))
     return EXIT_OK
 

@@ -11,13 +11,14 @@ from .segment import CLASS_ITEMS, ITEM_CLASSES, Transaction, TransactionDB, coar
 
 
 class FPNode:
-    __slots__ = ("name", "count", "parent", "children", "_path_items")
+    __slots__ = ("name", "count", "parent", "children", "labels", "_path_items")
 
     def __init__(self, name, parent=None):
         self.name = name
         self.count = 0
         self.parent = parent
         self.children = {}  # item -> FPNode, insertion-ordered
+        self.labels = {}  # label (None: unlabelled) -> transactions ending here
         self._path_items = None
 
     def path_items(self):
@@ -54,8 +55,9 @@ class FPTree:
         self.entries = {e.item: e for e in self.header}
         self.n_transactions = 0
 
-    def insert(self, items):
-        """Insert one transaction already filtered and sorted in header order."""
+    def insert(self, items, label):
+        """Insert one transaction already filtered and sorted in header order; its label
+        is counted at the node where it ends (the root, when no item is left)."""
         self.n_transactions += 1
         node = self.root
         for item in items:
@@ -66,20 +68,26 @@ class FPTree:
                 self.entries[item].nodes.append(child)
             child.count += 1
             node = child
+        node.labels[label] = node.labels.get(label, 0) + 1
 
     def tidsets(self):
-        """Item -> bitset of the transactions holding it. Transactions are numbered in
-        preorder, each node taking those that end at it (its count minus its children's),
-        so the node.count transactions through a node are consecutive bits."""
+        """(item -> bitset of the transactions holding it, label -> bitset of the
+        transactions carrying it). Transactions are numbered in preorder, each node taking
+        those that end at it one label at a time, so the node.count transactions through
+        a node are consecutive bits."""
         bits = {entry.item: 0 for entry in self.header}
+        label_bits = {}
         pos = 0
-        stack = list(self.root.children.values())
+        stack = [self.root]
         while stack:
             node = stack.pop()
-            bits[node.name] |= ((1 << node.count) - 1) << pos
-            pos += node.count - sum(child.count for child in node.children.values())
+            if node.name is not None:
+                bits[node.name] |= ((1 << node.count) - 1) << pos
+            for label, k in node.labels.items():
+                label_bits[label] = label_bits.get(label, 0) | ((1 << k) - 1) << pos
+                pos += k
             stack.extend(node.children.values())
-        return bits
+        return bits, label_bits
 
 
 def frequent_items(db: TransactionDB, minsup_count: int):
@@ -100,7 +108,7 @@ def build_fp_tree(db: TransactionDB, L) -> FPTree:
     tree = FPTree(L)
     for t in db.transactions:
         filtered = sorted((i for i in t.items if i in tree.rank), key=tree.rank.get)
-        tree.insert(filtered)
+        tree.insert(filtered, t.label)
     return tree
 
 
@@ -118,25 +126,42 @@ def itemset_support(tree: FPTree, itemset) -> int:
     )
 
 
-def frequent_closure(tree: FPTree, minsup_count: int):
+def frequent_closure(tree: FPTree, minsup_count: int, labelled=None):
     """The frequent family {itemset: support}, by size, then by sorted items: one
     depth-first pass over the tree's transaction bitsets, items in ascending code
     order. A frequent set's children each add one later item that keeps it frequent,
-    and a child's bitset is its parent's ANDed with that item's."""
-    bits = tree.tidsets()
-    found = []  # (size, items in ascending order, support)
+    and a child's bitset is its parent's ANDed with that item's.
+
+    With labelled = (count, dict), the same pass fills the dict, in the same order, with
+    the labelled family at count: sets counted over the labelled rows, and each with
+    class c's item over c's rows. A set is then extended while either family keeps it."""
+    bits, label_bits = tree.tidsets()
+    labelled_count, labelled_family = labelled or (math.inf, {})
+    classes = sorted((CLASS_ITEMS[c], b) for c, b in label_bits.items() if c is not None)
+    mask = sum(b for _, b in classes)  # the labelled rows, as label bitsets are disjoint
+    found = []  # (size, items in ascending order, support, labelled support)
 
     def search(head, tail):
-        # tail: the later items whose union with head is frequent, with that union's bitset
+        # tail: the later items whose union with head either family keeps, with its bitset
         for k, (item, s_bits) in enumerate(tail):
             s = head + (item,)
-            found.append((len(s), s, s_bits.bit_count()))
+            labelled_support = (s_bits & mask).bit_count()
+            found.append((len(s), s, s_bits.bit_count(), labelled_support))
+            if labelled_support >= labelled_count:
+                for code, c_bits in classes:
+                    c_support = (s_bits & c_bits).bit_count()
+                    if c_support >= labelled_count:
+                        found.append((len(s) + 1, tuple(sorted(s + (code,))), 0, c_support))
             later = ((j, s_bits & bits[j]) for j, _ in tail[k + 1 :])
-            search(s, [(j, b) for j, b in later if b.bit_count() >= minsup_count])
+            search(s, [(j, b) for j, b in later
+                       if b.bit_count() >= minsup_count or (b & mask).bit_count() >= labelled_count])
 
+    # The first tail holds every tree item; the filters below drop those neither family keeps.
     search((), [(item, bits[item]) for item in sorted(bits)])
+    found += [(1, (code,), 0, b.bit_count()) for code, b in classes]
     found.sort()
-    return {frozenset(s): support for _, s, support in found}
+    labelled_family.update((frozenset(s), n) for _, s, _, n in found if n >= labelled_count)
+    return {frozenset(s): n for _, s, n, _ in found if n >= minsup_count}
 
 
 def mine_mfi(family, tree: FPTree):
@@ -186,20 +211,6 @@ def mine_frequent_family(db: TransactionDB, minsup_count: int):
     return L, tree, mine_mfi(family, tree), family
 
 
-def mine_levels(db: TransactionDB, minsup_count: int):
-    """Mine both hierarchy levels of db; returns {level: (FP-tree, frequent family)}.
-
-    Level 2 holds the fine codes, level 1 their coarse parents, in that order.
-    Both the mine command and mine_class_rules go through here; the maximal
-    sets are left to the caller that writes them (mine_mfi).
-    """
-    per_level = {}
-    for level, ldb in ((2, db), (1, coarse_collapsed(db))):
-        tree = build_fp_tree(ldb, frequent_items(ldb, minsup_count))
-        per_level[level] = (tree, frequent_closure(tree, minsup_count))
-    return per_level
-
-
 def generate_rules(family, db: TransactionDB, minsup: Fraction, minconf: Fraction):
     """Class association rules X -> c from a frequent family {itemset: support}."""
     n = len(db)
@@ -236,19 +247,23 @@ def minsup_fraction_to_count(minsup, n_transactions: int) -> int:
 
 
 def mine_class_rules(db: TransactionDB, minsup, minconf):
-    """Mine rules at the fine level and the coarse-collapsed level.
-
-    Returns (rules, per_level) where per_level maps level -> (FP-tree, frequent
-    family) of the labelled rows with their class items appended (level 2 =
-    fine codes, level 1 = coarse codes).
-    """
+    """Mine both hierarchy levels of every row, one FP-tree and one search each, the
+    labels counted in the tree's nodes. Returns (rules, per_level): the labelled rows'
+    class rules (none without a label), and {level: (FP-tree, frequent family)} over
+    every row, fine codes' level 2 first, then coarse codes' level 1."""
     minsup = Fraction(minsup).limit_denominator(10**9)
     minconf = Fraction(minconf).limit_denominator(10**9)
-    labeled = with_class_items(db)
-    count = minsup_fraction_to_count(minsup, len(labeled))
-    per_level = mine_levels(labeled, count)
-    merged = {}
-    for _, family in per_level.values():
+    labeled = TransactionDB(transactions=[t for t in db.transactions if t.label is not None])
+    count = minsup_fraction_to_count(minsup, len(db))
+    # Never above count, as |labelled| <= |D|, so the tree's items serve both families.
+    labeled_count = minsup_fraction_to_count(minsup, len(labeled) or len(db))
+    per_level, merged = {}, {}
+    for level, ldb in ((2, db), (1, coarse_collapsed(db))):
+        tree = build_fp_tree(ldb, frequent_items(ldb, labeled_count))
+        family = {}
+        per_level[level] = (tree, frequent_closure(tree, count, (labeled_count, family)))
+        if not labeled.transactions:
+            continue
         # The coarse database has the same rows and labels, so |D| is shared.
         for rule in generate_rules(family, labeled, minsup, minconf):
             key = (rule.antecedent, rule.consequent)

@@ -199,9 +199,26 @@ def _known_class(label):
     return label
 
 
+def _positive_int(value):
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{value!r} is not a positive integer")
+    return value
+
+
+def _ratio(pair):
+    """A stored [numerator, denominator] of ints whose value lies in (0, 1]."""
+    if type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int:
+        value = Fraction(*pair)
+        if 0 < value.numerator <= value.denominator:
+            return value
+    raise ValueError(f"{pair!r} is not a fraction in (0, 1]")
+
+
 def _tree_from_dict(d, n_attributes):
     if "leaf" in d:
-        return Leaf(label=_known_class(d["leaf"]), distribution=dict(d["distribution"]))
+        counts = dict(d["distribution"]).items()
+        distribution = {_known_class(c): _positive_int(n) for c, n in counts}
+        return Leaf(label=_known_class(d["leaf"]), distribution=distribution)
     attribute = d["attribute"]
     if type(attribute) is not int or not 0 <= attribute < n_attributes:
         raise ValueError(f"split on attribute {attribute!r}; the model has {n_attributes}")
@@ -249,12 +266,15 @@ def model_from_json(data: bytes) -> HarcModel:
         rules = [
             AssociationRule(
                 antecedent=tuple(r["antecedent"]),
-                consequent=r["class"],
-                support=Fraction(*r["support"]),
-                confidence=Fraction(*r["confidence"]),
+                consequent=_known_class(r["class"]),
+                support=_ratio(r["support"]),
+                confidence=_ratio(r["confidence"]),
             )
             for r in doc["rules"]
         ]
+        bad = [i for r in rules for i in r.antecedent if type(i) is not int or i < 1]
+        if bad:
+            raise ValueError(f"antecedent item {bad[0]!r} is not a positive integer")
         by_antecedent = {r.antecedent: r for r in rules}
         attributes = [
             RuleAttribute(antecedent=tuple(a), rule=by_antecedent[tuple(a)])

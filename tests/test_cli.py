@@ -159,9 +159,16 @@ def test_malformed_model_exits_4(tmp_path):
     one_feature = dict(doc, quantization={"area": [0.0, 1.0]})
     float_split, bool_split, string_split = (dict(doc, tree=dict(doc["tree"], attribute=a))
                                              for a in (0.5, True, "0"))
+    rule_edits = ({"class": "cancer"}, {"support": [True, 2]}, {"confidence": [5, 2]},
+                  {"antecedent": ["x"]})
+    bad_rules = [dict(doc, rules=[*doc["rules"], dict(doc["rules"][0], **edit)])
+                 for edit in rule_edits]  # an extra rule, so every attribute still finds its own
+    assert json.dumps(doc).count('{"benign": 10}') == 1
+    bad_distribution = json.loads(
+        json.dumps(doc).replace('{"benign": 10}', '{"benign": "lots", "x": null}'))
     broken_docs = (no_rules, bad_type, out_of_range, negative, unknown_leaf, unknown_default,
                    no_config, short_config, mining_config, bad_config, nan_range, inverted_range,
-                   one_feature, float_split, bool_split, string_split)
+                   one_feature, float_split, bool_split, string_split, *bad_rules, bad_distribution)
     for text in [*map(json.dumps, broken_docs), "[" * 100_000]:
         model = tmp_path / "model.json"
         model.write_text(text)

@@ -21,6 +21,7 @@ from imgmine.fpm import (
 from imgmine.segment import (
     CLASS_ITEMS,
     CLASSES,
+    NO_OBJECT_ITEM,
     Transaction,
     TransactionDB,
     coarse_item,
@@ -169,9 +170,9 @@ def test_mfi_recount_catches_a_corrupt_tidset():
     db = db_of((1, 2), (1, 2), (1, 2), (3,))
     L = frequent_items(db, 2)
     tree = build_fp_tree(db, L)
-    bits = tree.tidsets()
+    bits, label_bits = tree.tidsets()
     bits[1] &= bits[1] - 1  # item 1 loses one of its transactions
-    tree.tidsets = lambda: bits
+    tree.tidsets = lambda: (bits, label_bits)
     family = frequent_closure(tree, 2)
     assert family[frozenset({1, 2})] == 2  # the FP-tree's node links still count 3
     with pytest.raises(RuntimeError, match="disagree"):
@@ -233,11 +234,15 @@ def test_mfi_dense_random_oracle_equivalence():
 
 
 def test_tidsets_count_item_supports():
+    """Item bitsets count item supports; label bitsets split every transaction, those
+    ending at the root included, one label each."""
     rng = np.random.default_rng(46)
     for _ in range(20):
         db = random_db(rng, max_items=14, max_transactions=60)
+        for t in db.transactions:
+            t.label = [None, *CLASSES][int(rng.integers(0, 4))]
         tree = build_fp_tree(db, frequent_items(db, 2))
-        bits = tree.tidsets()
+        bits, label_bits = tree.tidsets()
         assert sorted(bits) == sorted(e.item for e in tree.header)
         for entry in tree.header:
             assert bits[entry.item].bit_count() == entry.support
@@ -245,6 +250,11 @@ def test_tidsets_count_item_supports():
         for b in bits.values():
             everything |= b
         assert everything.bit_length() <= tree.n_transactions
+        labels = [t.label for t in db.transactions]
+        assert set(label_bits) == set(labels)
+        for label, b in label_bits.items():
+            assert b.bit_count() == labels.count(label)
+        assert sum(label_bits.values()) == (1 << len(db)) - 1  # disjoint, and all of them
 
 
 # --------------------------------------------------------- frequent_closure
@@ -394,11 +404,11 @@ def level_rows(db):
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_mine_rules_writes_the_mfi_of_mine_alone(tmp_path, monkeypatch, mixed):
-    """A fully labelled TDB mines each level once; a mixed one keeps the unlabelled pass.
-    Either way the MFI CSV is the one mine writes without --rules, and the brute force's."""
-    passes = []
-    real_mine_levels = fpm.mine_levels
-    monkeypatch.setattr(fpm, "mine_levels", lambda *a: passes.append(a) or real_mine_levels(*a))
+    """Every mine builds one FP-tree per level, labelled or mixed, with or without
+    --rules; the MFI CSV is the same either way, and the brute force's."""
+    trees = []
+    real_build = fpm.build_fp_tree
+    monkeypatch.setattr(fpm, "build_fp_tree", lambda *a: trees.append(a) or real_build(*a))
     rng = np.random.default_rng(61 + mixed)
     for k in range(15):
         db = feature_db(rng, mixed)
@@ -407,11 +417,13 @@ def test_mine_rules_writes_the_mfi_of_mine_alone(tmp_path, monkeypatch, mixed):
         minsup = float(rng.choice([0.1, 0.2, 0.3]))
         flags = ["--minsup", str(minsup), "--minconf", "0.5"]
         alone, with_rules = tmp_path / f"alone{k}.csv", tmp_path / f"with{k}.csv"
+        trees.clear()
         assert main(["mine", str(tdb), "--mfi", str(alone), *flags]) == 0
-        passes.clear()
+        assert len(trees) == 2
+        trees.clear()
         rules = ["--rules", str(tmp_path / f"rules{k}.csv")]
         assert main(["mine", str(tdb), "--mfi", str(with_rules), *rules, *flags]) == 0
-        assert len(passes) == (2 if mixed else 1)
+        assert len(trees) == 2
         assert with_rules.read_bytes() == alone.read_bytes()
 
         count = minsup_fraction_to_count(minsup, len(db))
@@ -434,26 +446,136 @@ def test_mine_rules_on_a_labelled_tdb_still_recounts_the_mfi(tmp_path, monkeypat
         main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--rules", str(tmp_path / "r.csv")])
 
 
+def mixed_label_dbs(rng):
+    """Seeded TDBs whose labelled minsup count falls below the all-rows count, each with
+    one of: a class too rare for the labelled count, labelled rows whose every item is
+    infrequent (they end at the root), exactly one labelled row, or no label."""
+    universe = [encode_item(feature, fine) for feature in (1, 2) for fine in (1, 2, 3, 4)]
+    for case in range(12):
+        n = int(rng.integers(12, 30))
+        rows = []
+        for i in range(n):
+            items = rng.choice(universe, size=int(rng.integers(1, 6)), replace=False).tolist()
+            label = CLASSES[int(rng.integers(0, 2))] if i % 3 else None
+            if case % 4 == 0 and i == 1:
+                label = "malignant"  # one row: below the labelled count at minsup 0.2
+            if case % 4 == 1 and i % 3 == 1:
+                items = [600 + 10 * i + case]  # seen once, so it ends at the root
+            if case % 4 == 2:
+                label = "benign" if i == 1 else None
+            if case % 4 == 3:
+                label = None
+            rows.append(Transaction(tid=f"{i:03d}", items=tuple(sorted(items)), label=label))
+        yield TransactionDB(transactions=rows)
+
+
 def test_mine_class_rules_recounts_nothing_and_matches_brute_rules(monkeypatch):
+    """Each level's one tree counts every row; its family is the all-rows brute force,
+    and the rules are brute_rules over the labelled rows with their class items."""
     recounts = []
     monkeypatch.setattr(fpm, "itemset_support", lambda *a: recounts.append(a))
     rng = np.random.default_rng(67)
     class_items = sorted(CLASS_ITEMS.values())
-    minsup, minconf = Fraction(1, 10), Fraction(1, 2)
-    for _ in range(10):
-        db = feature_db(rng, mixed=True)
-        rules, per_level = mine_class_rules(db, minsup, minconf)
-        labeled = with_class_items(db)
-        count = minsup_fraction_to_count(minsup, len(labeled))
-        expected = set()
-        for level, rows in level_rows(labeled).items():
-            tree, family = per_level[level]
-            assert tree.n_transactions == len(labeled)
-            assert family == frequent_family(rows, count)
-            expected |= brute_rules(rows, class_items, minsup, minconf)
-        got = {
-            (frozenset(r.antecedent), CLASS_ITEMS[r.consequent], r.support * len(labeled))
-            for r in rules
-        }
-        assert got == expected
+    dbs = [feature_db(rng, mixed=True) for _ in range(10)] + list(mixed_label_dbs(rng))
+    below = at_root = 0
+    for db in dbs:
+        for minsup, minconf in ((Fraction(1, 10), Fraction(1, 2)), (Fraction(1, 5), Fraction(2, 3))):
+            rules, per_level = mine_class_rules(db, minsup, minconf)
+            labeled = with_class_items(db)
+            count = minsup_fraction_to_count(minsup, len(db))
+            labeled_count = minsup_fraction_to_count(minsup, len(labeled))
+            below += labeled.transactions != [] and labeled_count < count
+            expected = set()
+            for level, rows in level_rows(db).items():
+                tree, family = per_level[level]
+                assert tree.n_transactions == len(db)
+                assert family == frequent_family(rows, count)
+                at_root += any(label is not None for label in tree.root.labels)
+            if labeled.transactions:
+                for rows in level_rows(labeled).values():
+                    expected |= brute_rules(rows, class_items, minsup, minconf)
+            got = {
+                (frozenset(r.antecedent), CLASS_ITEMS[r.consequent], r.support * len(labeled))
+                for r in rules
+            }
+            assert got == expected
+    assert below >= 12 and at_root > 0
     assert recounts == []
+
+
+def test_frequent_closure_fills_the_labelled_family_in_the_same_pass():
+    """The labelled family is the frequent family of the labelled rows with their class
+    items, over the labelled count, in the same size-then-items order."""
+    rng = np.random.default_rng(71)
+    for db in list(mixed_label_dbs(rng)) + [feature_db(rng, mixed=True) for _ in range(10)]:
+        labeled = with_class_items(db)
+        count = minsup_fraction_to_count(Fraction(1, 5), len(db))
+        labeled_count = minsup_fraction_to_count(Fraction(1, 5), len(labeled))
+        for level, rows in level_rows(labeled).items():
+            ldb = db if level == 2 else coarse_collapsed(db)
+            tree = build_fp_tree(ldb, frequent_items(ldb, labeled_count))
+            family = {}
+            assert frequent_closure(tree, count, (labeled_count, family)) == frequent_closure(tree, count)
+            assert family == frequent_family(rows, labeled_count)
+            keys = [(len(s), sorted(s)) for s in family]
+            assert keys == sorted(keys)
+
+
+def test_mine_without_a_label_writes_the_mfi_and_rules_exit_3(tmp_path, capsys):
+    db = next(d for i, d in enumerate(mixed_label_dbs(np.random.default_rng(3))) if i == 3)
+    assert all(t.label is None for t in db.transactions)
+    tdb, mfi, rules = tmp_path / "t.csv", tmp_path / "m.csv", tmp_path / "r.csv"
+    tdb.write_bytes(write_tdb_csv(db))
+    assert main(["mine", str(tdb), "--mfi", str(mfi)]) == 0
+    alone = mfi.read_bytes()
+    mfi.unlink()
+    assert main(["mine", str(tdb), "--mfi", str(mfi), "--rules", str(rules)]) == 3
+    assert "has no labels" in capsys.readouterr().err
+    assert mfi.read_bytes() == alone and len(alone.splitlines()) > 1
+    assert not rules.exists()
+
+
+def test_a_rule_mined_at_both_levels_has_equal_support_and_confidence():
+    """In a TDB that features writes, only the pass-through no-object code can form an
+    antecedent at both levels, and it counts the same rows at each."""
+    rng = np.random.default_rng(73)
+    universe = [encode_item(feature, fine) for feature in (1, 2, 3) for fine in (1, 2, 3, 4)]
+    shared = 0
+    for _ in range(20):
+        rows = []
+        for i in range(int(rng.integers(10, 30))):
+            items = rng.choice(universe, size=int(rng.integers(1, 6)), replace=False).tolist()
+            if rng.random() < 0.3:
+                items = [NO_OBJECT_ITEM]
+            label = CLASSES[int(rng.integers(0, 3))] if i % 4 else None
+            rows.append(Transaction(tid=f"{i:03d}", items=tuple(items), label=label))
+        db = TransactionDB(transactions=rows)
+        minsup, minconf = Fraction(1, 10), Fraction(1, 3)
+        _, per_level = mine_class_rules(db, minsup, minconf)
+        labeled = TransactionDB(transactions=[t for t in rows if t.label is not None])
+        count = minsup_fraction_to_count(minsup, len(labeled))
+        by_level = []
+        for tree, _ in per_level.values():
+            family = {}
+            frequent_closure(tree, minsup_fraction_to_count(minsup, len(db)), (count, family))
+            by_level.append({(r.antecedent, r.consequent): r
+                             for r in generate_rules(family, labeled, minsup, minconf)})
+        fine, coarse = by_level
+        for key in fine.keys() & coarse.keys():
+            assert key[0] == (NO_OBJECT_ITEM,)
+            assert fine[key] == coarse[key]
+            shared += 1
+    assert shared > 0
+
+
+def test_the_level_merge_keeps_the_more_confident_rule():
+    """A hand-written TDB may hold a coarse code such as 110 itself. Then (110,) counts
+    different rows at the two levels, and the merged rule is the more confident one."""
+    rows = [((110,), "normal"), ((110,), "benign"), ((111,), "benign"), ((111,), "benign"),
+            ((111,), "benign"), ((211,), "normal"), ((211,), "normal"), ((211,), "normal")]
+    db = db_of(*(items for items, _ in rows), labels=[label for _, label in rows])
+    rules, _ = mine_class_rules(db, Fraction(1, 10), Fraction(1, 2))
+    merged = {(r.antecedent, r.consequent): r for r in rules}
+    assert merged[((110,), "benign")].support == Fraction(4, 8)  # coarse: 4 of 5 rows
+    assert merged[((110,), "benign")].confidence == Fraction(4, 5)  # fine: 1 of 2
+    assert merged[((110,), "normal")].confidence == Fraction(1, 2)  # fine only

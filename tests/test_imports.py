@@ -43,6 +43,7 @@ def test_every_imported_name_is_used():
 UNREFERENCED = {
     ("edge", "chamfer_manhattan"): "acceptance criterion 4 gates it",
     ("fpm", "mine_frequent_family"): "acceptance criteria 1-2 unpack its 4-tuple",
+    ("fpm", "with_class_items"): "acceptance criterion 2 mines its rows; perfbench traces it",
     ("metrics", "precision"): "acceptance criterion 6 gates it",
     ("metrics", "recall"): "acceptance criterion 6 gates it",
     ("prep", "align_peak"): "perfbench/trace.py spans it by name",
