@@ -51,7 +51,6 @@ def _config_from_args(args):
 
 def cmd_preprocess(args) -> int:
     from . import pipeline
-    from .prep import GrayImage, opening_mask
 
     cfg = _config_from_args(args)
     stage1, stage2 = pipeline.preprocess_stages(_read_image(args.input), cfg)
@@ -61,8 +60,6 @@ def cmd_preprocess(args) -> int:
         dump.mkdir(parents=True, exist_ok=True)
         (dump / "stage1_equalized.pgm").write_bytes(write_pgm(stage1))
         (dump / "stage2_median.pgm").write_bytes(write_pgm(stage2))
-        mask_img = GrayImage(opening_mask(stage2).bits.astype("uint8") * 255)
-        (dump / "stage3_openmask.pgm").write_bytes(write_pgm(mask_img))
     return EXIT_OK
 
 
@@ -300,7 +297,7 @@ def build_parser():
     p = sub.add_parser("preprocess", help="equalize/median one PGM")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--dump-dir", help="write stage1..3 intermediate PGMs here")
+    p.add_argument("--dump-dir", help="write stage1_equalized.pgm and stage2_median.pgm here")
     _add_settings(p, ("equalize",))
     p.set_defaults(func=cmd_preprocess)
 

@@ -48,7 +48,7 @@ class HarcModel(NamedTuple):
     tree: "Leaf | Split"
     quantization: QuantizationModel
     default_class: str
-    config: PipelineConfig = PipelineConfig()  # only its EXTRACTION_KEYS are saved
+    config: PipelineConfig = PipelineConfig()  # EXTRACTION_KEYS set, the rest at their defaults
 
 
 def entropy(class_counts) -> float:
@@ -179,7 +179,7 @@ def train(
         tree=induce_tree(records, attrs),
         quantization=quantization or QuantizationModel(),
         default_class=_majority(_class_counts(records)),
-        config=config,
+        config=PipelineConfig(**{key: getattr(config, key) for key in EXTRACTION_KEYS}),
     )
 
 
@@ -275,7 +275,7 @@ def model_from_json(data: bytes) -> HarcModel:
         bad = [i for r in rules for i in r.antecedent if type(i) is not int or i < 1]
         if bad:
             raise ValueError(f"antecedent item {bad[0]!r} is not a positive integer")
-        by_antecedent = {r.antecedent: r for r in rules}
+        by_antecedent = {r.antecedent: r for r in reversed(rules)}  # the first wins, as in train
         attributes = [
             RuleAttribute(antecedent=tuple(a), rule=by_antecedent[tuple(a)])
             for a in doc["attributes"]

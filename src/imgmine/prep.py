@@ -88,13 +88,6 @@ def bounding_box(bits: np.ndarray, margin: int = 0):
     return tuple(slice(max(i[0] - margin, 0), i[-1] + 1 + margin) for i in (rows, cols))
 
 
-def threshold(img: GrayImage, t: int) -> BinaryImage:
-    """Foreground where pixel >= t."""
-    if not 0 <= t <= 255:
-        raise ValueError("threshold must lie in [0, 255]")
-    return BinaryImage(img.pixels >= t)
-
-
 def label_components(bits, connectivity: int) -> np.ndarray:
     """Label the 4- or 8-connected components of a boolean mask (int32, 0 = background).
 
@@ -232,28 +225,3 @@ def dilate(a: BinaryImage, b: StructuringElement) -> BinaryImage:
 def open_(a: BinaryImage, b: StructuringElement) -> BinaryImage:
     """Morphological opening: erosion followed by dilation."""
     return dilate(erode(a, b), b)
-
-
-def otsu_threshold(img: GrayImage) -> int:
-    """Otsu's threshold maximizing between-class variance (smallest argmax on ties)."""
-    counts = histogram(img).astype(np.float64)
-    total = counts.sum()
-    levels = np.arange(256, dtype=np.float64)
-    w0 = np.cumsum(counts)
-    m0 = np.cumsum(counts * levels)
-    mean_all = m0[-1] / total
-    w1 = total - w0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu0 = m0 / w0
-        mu1 = (m0[-1] - m0) / w1
-        var = w0 * w1 * (mu0 - mu1) ** 2
-    var[np.isnan(var)] = -1.0
-    # threshold t separates [0, t-1] from [t, 255]
-    return int(np.argmax(var[:-1])) + 1
-
-
-def opening_mask(img: GrayImage, se: StructuringElement | None = None) -> BinaryImage:
-    """Otsu-threshold the image and open the mask; removes small foreground objects."""
-    if se is None:
-        se = square3()
-    return open_(threshold(img, otsu_threshold(img)), se)

@@ -33,7 +33,7 @@ class TdbError(ValueError):
 
 
 class Region(NamedTuple):
-    """8-connected pixel component; coords is an (n, 2) array of (y, x)."""
+    """8-connected pixel component; coords is an (n, 2) array of (y, x) in raster order."""
 
     coords: np.ndarray
     bbox: tuple  # (ymin, xmin, ymax, xmax)
@@ -127,14 +127,11 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
     if region.area == 0:
         raise ValueError("region is empty")
     ys, xs = region.coords[:, 0], region.coords[:, 1]
-    vals = img.pixels[ys, xs].astype(np.float64)
-    y0, x0, y1, x1 = region.bbox
-    levels = (img.pixels[y0 : y1 + 1, x0 : x1 + 1].astype(np.int32) * GLCM_LEVELS) // 256
-
-    inside = np.zeros(levels.shape, dtype=bool)
-    inside[ys - y0, xs - x0] = True
-    pair = inside[:, :-1] & inside[:, 1:]  # (y, x) and (y, x + 1) both in the region
-    i, j = levels[:, :-1][pair], levels[:, 1:][pair]
+    vals = img.pixels[ys, xs]
+    levels = (vals.astype(np.int32) * GLCM_LEVELS) // 256
+    # In raster order, (y, x) and (y, x + 1) are consecutive coords when both are in the region.
+    pair = (ys[1:] == ys[:-1]) & (xs[1:] == xs[:-1] + 1)
+    i, j = levels[:-1][pair], levels[1:][pair]
     if not i.size:
         raise ValueError("GLCM undefined: no horizontally adjacent pixel pair in region")
     counts = np.bincount(i * GLCM_LEVELS + j, minlength=GLCM_LEVELS**2).reshape(GLCM_LEVELS, -1)
@@ -148,7 +145,7 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
     entropy = float(-(nz * np.log2(nz)).sum())
     return FeatureVector(
         area=float(region.area),
-        mean_intensity=float(vals.mean()),
+        mean_intensity=float(vals.astype(np.float64).mean()),
         glcm_contrast=contrast,
         glcm_energy=energy,
         glcm_homogeneity=homogeneity,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imgmine import fpm, harc, pipeline
+from imgmine import fpm, harc, metrics, pipeline
 from imgmine.cli import build_parser, main
 from imgmine.config import PipelineConfig, read_manifest, write_manifest
 from imgmine.prep import GrayImage, equalize
@@ -19,6 +19,7 @@ from imgmine.segment import (
     Transaction,
     TransactionDB,
     encode_item,
+    extract_regions,
     read_tdb_csv,
     write_tdb_csv,
 )
@@ -138,7 +139,7 @@ def test_model_version_mismatch_exits_4(tmp_path):
     assert rc == 4
 
 
-def test_malformed_model_exits_4(tmp_path):
+def test_malformed_model_exits_4(tmp_path, capsys):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(labeled_tdb())
     doc = json.loads(harc.model_to_json(harc.train(read_tdb_csv(labeled_tdb()))))
@@ -173,6 +174,11 @@ def test_malformed_model_exits_4(tmp_path):
         model = tmp_path / "model.json"
         model.write_text(text)
         assert main(["classify", str(model), "--tdb", str(tdb), str(tmp_path / "p.csv")]) == 4
+    capsys.readouterr()
+    for text in ("[]", '"model"'):  # valid JSON, but not an object
+        model.write_text(text)
+        assert main(["classify", str(model), "--tdb", str(tdb), str(tmp_path / "p.csv")]) == 4
+        assert capsys.readouterr().err == "imgmine: model JSON is not an object\n"
 
 
 def test_config_value_of_wrong_type_exits_3(tmp_path):
@@ -295,6 +301,19 @@ def test_evaluate_path_predicted_twice_exits_3(tmp_path, capsys):
     man.write_text("path,label,split\na.pgm,normal,test\nb.pgm,benign,test\n")
     assert main(["evaluate", str(pred), str(man)]) == 3
     assert f"{pred}:4: b.pgm predicted twice" in capsys.readouterr().err
+
+
+def test_evaluate_skips_a_predicted_path_without_a_label(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("path,predicted,fired_rule_count\na.pgm,malignant,0\nb.pgm,benign,0\n"
+                    "c.pgm,normal,0\n")
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\na.pgm,,test\nb.pgm,benign,test\nc.pgm,normal,test\n")
+    out = tmp_path / "metrics.csv"
+    assert main(["evaluate", str(pred), str(man), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == "imgmine: warning: a.pgm has no label in manifest; skipped\n"
+    matrix = metrics.MultiClassMatrix.from_pairs([("benign", "benign"), ("normal", "normal")])
+    assert out.read_bytes() == metrics.report(matrix)[1]
 
 
 def test_evaluate_undefined_measure_exits_3(tmp_path, capsys):
@@ -423,7 +442,7 @@ def test_preprocess_writes_stage_dumps(tmp_path):
     rc = main(["preprocess", str(src), str(out), "--dump-dir", str(dump)])
     assert rc == 0
     names = sorted(p.name for p in dump.iterdir())
-    assert names == ["stage1_equalized.pgm", "stage2_median.pgm", "stage3_openmask.pgm"]
+    assert names == ["stage1_equalized.pgm", "stage2_median.pgm"]
     assert out.read_bytes() == (dump / "stage2_median.pgm").read_bytes()
     read_pgm(out.read_bytes())  # parses back cleanly
 
@@ -482,6 +501,20 @@ def test_features_degenerate_images_have_no_object(tmp_path):
     db = read_tdb_csv(out.read_bytes())
     assert [t.tid for t in db.transactions] == list(images)
     assert all(t.items == (999,) for t in db.transactions)
+
+
+def test_features_drop_a_region_without_a_horizontal_pair(tmp_path):
+    """A 40x1 step image has one region at --min-area 1, one column wide: no GLCM pair."""
+    pixels = np.repeat([0, 255], 20).reshape(40, 1)
+    cfg = PipelineConfig(min_area=1)
+    pre = pipeline.preprocess_image(GrayImage(pixels.astype(np.uint8)), cfg)
+    assert len(extract_regions(pipeline.detect_edges(pre, cfg), pre, min_area=1)) == 1
+    write_image(tmp_path / "step.pgm", pixels)
+    man = tmp_path / "manifest.csv"
+    man.write_text("path,label,split\nstep.pgm,benign,train\n")
+    out = tmp_path / "tdb.csv"
+    assert main(["features", str(man), str(out), "--min-area", "1"]) == 0
+    assert [t.items for t in read_tdb_csv(out.read_bytes()).transactions] == [(999,)]
 
 
 def test_pixel_above_maxval_exits_2_and_is_skipped_by_features(tmp_path, capsys):

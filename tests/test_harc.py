@@ -265,6 +265,24 @@ def test_model_json_keeps_the_extraction_settings():
     assert b'"minsup"' not in doc and all(f'"{key}"'.encode() in doc for key in EXTRACTION_KEYS)
 
 
+def test_round_trip_keeps_the_first_rule_of_each_antecedent():
+    rows = [("111", "normal")] * 2 + [("111", "benign")] * 2 + [("211", "malignant")] * 4
+    db = TransactionDB([Transaction(tid=f"t{i}", items=(int(c),), label=label)
+                        for i, (c, label) in enumerate(rows)])
+    model = train(db, Fraction(1, 10), Fraction(1, 2))
+    fired = {a.antecedent: a.rule.consequent for a in model.attributes}
+    assert fired[(110,)] == fired[(111,)] == "normal"  # two rules each; train keeps the first
+    back = model_from_json(model_to_json(model))
+    assert back.attributes == model.attributes
+    assert back == model
+
+
+def test_round_trip_keeps_the_mining_settings_out_of_the_model():
+    model = train(separable_db(), config=PipelineConfig(minsup=0.2, minconf=0.5, seed=7))
+    assert model.config == PipelineConfig()
+    assert model_from_json(model_to_json(model)) == model
+
+
 def test_model_version_check():
     model = train(separable_db())
     bad = model_to_json(model).replace(MODEL_VERSION.encode(), b"harc-9")

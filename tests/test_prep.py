@@ -12,7 +12,6 @@ from imgmine.prep import (
     histogram,
     median3x3,
     open_,
-    otsu_threshold,
     square3,
 )
 
@@ -236,9 +235,3 @@ def test_structuring_element_validation():
     hollow[1, 1] = False
     with pytest.raises(ValueError):
         StructuringElement(hollow)
-
-
-def test_otsu_separates_bimodal():
-    img = gi([[10] * 8 + [200] * 8] * 4)
-    t = otsu_threshold(img)
-    assert 10 < t <= 200

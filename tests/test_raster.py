@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imgmine.prep import BinaryImage, GrayImage, label_components, threshold
+from imgmine.prep import BinaryImage, GrayImage, label_components
 from imgmine.raster import PgmError, read_pgm, write_pgm
 
 from oracles import flood_fill_labels
@@ -73,20 +73,6 @@ def test_maxval_below_255_rescales_half_up():
 def test_header_comments_and_whitespace():
     img = read_pgm(b"P5 # comment\n2 1 255\n" + bytes([1, 2]))
     assert img.pixels.tolist() == [[1, 2]]
-
-
-def test_threshold():
-    img = GrayImage([[10, 200]])
-    assert threshold(img, 100).bits.tolist() == [[False, True]]
-    assert threshold(GrayImage([[0, 0]]), 1).bits.tolist() == [[False, False]]
-    assert threshold(GrayImage([[255, 255]]), 1).bits.tolist() == [[True, True]]
-
-
-def test_threshold_does_not_mutate():
-    a = np.array([[5, 6]], dtype=np.uint8)
-    img = GrayImage(a.copy())
-    threshold(img, 6)
-    assert img.pixels.tolist() == [[5, 6]]
 
 
 def test_invariants_enforced():
