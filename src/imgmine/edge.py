@@ -99,13 +99,14 @@ def hysteresis(nms: np.ndarray, low: float, high: float) -> EdgeMap:
     if low > high:
         raise ValueError("need low <= high")
     weak = (nms >= low) & (nms > 0)
-    edges = np.zeros(nms.shape, dtype=bool)
+    if not (weak & (nms < high)).any():  # every weak pixel is strong, so seeds its component
+        return EdgeMap(weak)
     box = bounding_box(weak)  # every 8-component of weak pixels lies inside it
-    if box is not None:
-        labels = label_components(weak[box], 8)
-        seeded = np.zeros(labels.max() + 1, dtype=bool)
-        seeded[labels[weak[box] & (nms[box] >= high)]] = True
-        edges[box] = seeded[labels]
+    labels = label_components(weak[box], 8)
+    seeded = np.zeros(labels.max() + 1, dtype=bool)
+    seeded[labels[weak[box] & (nms[box] >= high)]] = True
+    edges = np.zeros(nms.shape, dtype=bool)
+    edges[box] = seeded[labels]
     return EdgeMap(edges)
 
 

@@ -6,6 +6,8 @@ import os
 import pickle
 import signal
 
+import numpy as np
+
 from .config import PipelineConfig
 from .edge import gradients, hysteresis, non_max_suppress
 from .prep import EdgeMap, GrayImage, equalize, median3x3
@@ -34,11 +36,13 @@ def preprocess_image(img: GrayImage, cfg: PipelineConfig) -> GrayImage:
 def detect_edges(img: GrayImage, cfg: PipelineConfig) -> EdgeMap:
     """Canny with configured absolute thresholds, or per-image relative defaults."""
     field = gradients(img, cfg.sigma)
+    m = float(field.mag.max())
     if cfg.canny_low is not None:
         low, high = cfg.canny_low, cfg.canny_high
     else:
-        m = float(field.mag.max())
         low, high = RELATIVE_LOW_FRAC * m, RELATIVE_HIGH_FRAC * m
+    if m < low or m == 0:  # NMS keeps a magnitude or writes 0, so no pixel can be weak
+        return EdgeMap(np.zeros(field.mag.shape, dtype=bool))
     return hysteresis(non_max_suppress(field), low, high)
 
 

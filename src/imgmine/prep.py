@@ -164,22 +164,26 @@ def equalize(img: GrayImage) -> GrayImage:
     return GrayImage(lut[img.pixels])
 
 
-# Paeth's median-of-9 network (Graphics Gems, 1990), in Devillard's opt_med9 order: each
-# pair (i, j) leaves the smaller value in i and the larger in j; value 4 ends as the median.
-_MEDIAN9 = (
-    (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8), (0, 3),
-    (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4), (4, 2),
-)
+def _median3(a, b, c):
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
 def median3x3(img: GrayImage) -> GrayImage:
-    """3x3 median filter with edge replication at the borders."""
+    """3x3 median filter with edge replication at the borders.
+
+    Each vertical triple is sorted once, for the three windows that share it. The
+    median of nine is then the median of the largest column minimum, the median
+    of the column medians and the smallest column maximum.
+    """
     h, w = img.pixels.shape
     p = replicate_border(replicate_border(img.pixels, 1, 0), 1, 1)
-    v = [p[dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)]
-    for i, j in _MEDIAN9:
-        v[i], v[j] = np.minimum(v[i], v[j]), np.maximum(v[i], v[j])
-    return GrayImage(v[4])
+    top, mid, bottom = p[:h], p[1 : h + 1], p[2:]
+    lo, hi = np.minimum(top, mid), np.maximum(top, mid)
+    triples = np.minimum(lo, bottom), np.maximum(lo, np.minimum(hi, bottom)), np.maximum(hi, bottom)
+    (a0, a1, a2), medians, (c0, c1, c2) = ([t[:, i : i + w] for i in range(3)] for t in triples)
+    low = np.maximum(np.maximum(a0, a1), a2)
+    high = np.minimum(np.minimum(c0, c1), c2)
+    return GrayImage(_median3(low, _median3(*medians), high))
 
 
 class StructuringElement:

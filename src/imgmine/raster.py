@@ -37,12 +37,10 @@ def read_pgm(data: bytes) -> GrayImage:
         raise PgmError(f"bad magic {magic!r} at byte 0 (expected P5)")
     fields = []
     for name in ("width", "height", "maxval"):
-        at = pos
         tok, pos = _next_token(data, pos)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise PgmError(f"non-numeric {name} {tok!r} at byte {at}") from None
+        if not tok.isdigit():  # ASCII digits only: int() would also take b"+2" and b"1_0"
+            raise PgmError(f"non-numeric {name} {tok!r} at byte {pos - len(tok)}")
+        fields.append(int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PgmError(f"invalid dimensions {width}x{height} in header ending at byte {pos}")

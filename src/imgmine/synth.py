@@ -7,6 +7,7 @@ high-contrast speckled blob.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,25 @@ from .segment import CLASSES
 IMAGE_SIZE = 64
 
 
+@lru_cache(maxsize=8)
+def _fields(size):
+    """(pixel coordinates 0..size-1, the background's ramp), read-only, once per size."""
+    axis = np.arange(size, dtype=np.float64)
+    ramp = 110.0 + 55.0 * (axis[:, None] + axis) / (2 * size - 2) - 27.5
+    for a in (axis, ramp):
+        a.setflags(write=False)
+    return axis, ramp
+
+
 def _background(rng, size):
     """Smooth wide-range background: ramp + low-frequency waves + faint noise."""
-    y, x = np.mgrid[0:size, 0:size].astype(np.float64)
+    axis, ramp = _fields(size)
     phase1, phase2 = rng.uniform(0, 2 * np.pi, size=2)
+    # The waves are separable: one sin row and one cos column, broadcast over the ramp.
     base = (
-        110.0
-        + 55.0 * (x + y) / (2 * size - 2) - 27.5
-        + 18.0 * np.sin(2 * np.pi * x / size + phase1)
-        + 14.0 * np.cos(2 * np.pi * y / size + phase2)
+        ramp
+        + 18.0 * np.sin(2 * np.pi * axis / size + phase1)
+        + 14.0 * np.cos(2 * np.pi * axis[:, None] / size + phase2)
     )
     noise = rng.normal(0.0, 2.0, size=(size, size))
     k = gaussian_kernels(1.0)[0]
@@ -37,8 +48,8 @@ def _background(rng, size):
 
 
 def _disk_mask(size, cy, cx, radius, wobble=0.0, rng=None):
-    y, x = np.mgrid[0:size, 0:size].astype(np.float64)
-    dy, dx = y - cy, x - cx
+    axis = _fields(size)[0]
+    dy, dx = axis[:, None] - cy, axis - cx
     r = np.hypot(dy, dx)
     if wobble > 0:
         theta = np.arctan2(dy, dx)

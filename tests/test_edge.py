@@ -12,7 +12,13 @@ from imgmine.edge import (
     hysteresis,
     non_max_suppress,
 )
-from imgmine.pipeline import detect_edges, image_feature_vectors, image_transaction
+from imgmine.pipeline import (
+    RELATIVE_HIGH_FRAC,
+    RELATIVE_LOW_FRAC,
+    detect_edges,
+    image_feature_vectors,
+    image_transaction,
+)
 from imgmine.prep import BinaryImage, GrayImage, border_index
 from imgmine.segment import NO_OBJECT_ITEM, QuantizationModel
 
@@ -277,6 +283,53 @@ def test_hysteresis_at_the_crop_edges_matches_flood_fill_oracle(name, mask):
     assert np.array_equal(hysteresis(nms, 3.0, 7.0).bits, expected)
 
 
+def hysteresis_oracle(nms, low, high):
+    components = flood_fill_labels((nms >= low) & (nms > 0), 8)
+    seeded = set(components[nms >= high].tolist()) - {0}
+    return np.isin(components, sorted(seeded))
+
+
+def strong_block_with(pixel, value):
+    """A strong 3x3 block at rows/cols 1..3 of a 7x7 map, plus one more pixel."""
+    nms = np.zeros((7, 7))
+    nms[1:4, 1:4] = 9.0
+    nms[pixel] = value
+    return nms
+
+
+@pytest.mark.parametrize(
+    "nms, low, high, kept",
+    [
+        (strong_block_with((5, 5), 8.0), 3.0, 7.0, 10),  # every weak pixel is strong
+        (strong_block_with((4, 4), 4.0), 3.0, 7.0, 10),  # weak-only pixel joins the block
+        (strong_block_with((5, 5), 4.0), 3.0, 7.0, 9),  # weak-only pixel stands apart
+        (strong_block_with((5, 5), 4.0), 4.0, 4.0, 10),  # low == high: every weak pixel strong
+    ],
+    ids=["all-weak-strong", "weak-joins", "weak-apart", "low-equals-high"],
+)
+def test_hysteresis_fast_path_cases_match_flood_fill_oracle(nms, low, high, kept):
+    out = hysteresis(nms, low, high).bits
+    assert np.array_equal(out, hysteresis_oracle(nms, low, high))
+    assert out.sum() == kept
+
+
+def test_hysteresis_where_every_weak_pixel_is_strong_matches_flood_fill_oracle():
+    rng = np.random.default_rng(20)
+    for _ in range(30):
+        shape = tuple(int(v) for v in rng.integers(1, 24, size=2))
+        nms = rng.uniform(0, 10, size=shape) * (rng.random(shape) < 0.6)
+        least_weak = float(nms[nms >= 5.0].min(initial=10.0))  # high at the smallest weak value
+        for low, high in ((5.0, 5.0), (0.0, 0.0), (5.0, least_weak)):
+            out = hysteresis(nms, low, high).bits
+            assert np.array_equal(out, hysteresis_oracle(nms, low, high))
+            assert np.array_equal(out, (nms >= low) & (nms > 0))
+
+
+def test_hysteresis_rejects_low_above_high_even_without_weak_pixels():
+    with pytest.raises(ValueError, match="low <= high"):
+        hysteresis(np.zeros((3, 3)), 2.0, 1.0)
+
+
 def test_cached_kernels_and_border_index_are_read_only():
     cached = (*gaussian_kernels(1.4), border_index(64, 5))
     for a in cached:
@@ -335,6 +388,39 @@ def test_canny_flat_image_has_no_edges_or_objects():
     assert image_feature_vectors(flat, cfg) == []
     t = image_transaction(flat, cfg, QuantizationModel(), tid="flat")
     assert t.items == (NO_OBJECT_ITEM,)
+
+
+def canny_chain(img, cfg):
+    """detect_edges spelled out as gradients, NMS and hysteresis, with no shortcut."""
+    field = gradients(img, cfg.sigma)
+    low, high = cfg.canny_low, cfg.canny_high
+    if low is None:
+        m = float(field.mag.max())
+        low, high = RELATIVE_LOW_FRAC * m, RELATIVE_HIGH_FRAC * m
+    return hysteresis(non_max_suppress(field), low, high)
+
+
+@pytest.mark.parametrize(
+    "pixels",
+    [np.full((16, 16), 50), np.full((1, 1), 7), np.arange(9).reshape(1, 9) * 30, [[0, 255, 0, 255, 9]]],
+    ids=["flat", "1x1", "1x9-ramp", "1x5-spikes"],
+)
+@pytest.mark.parametrize("low, high", [(None, None), (0.0, 0.0), (1.0, 2.0)])
+def test_detect_edges_matches_the_canny_chain_on_degenerate_images(pixels, low, high):
+    img, cfg = gi(pixels), PipelineConfig(sigma=1.0, canny_low=low, canny_high=high)
+    assert detect_edges(img, cfg) == canny_chain(img, cfg)
+
+
+def test_detect_edges_below_low_and_exactly_at_low():
+    img = gi(np.random.default_rng(21).integers(0, 256, size=(20, 20)))
+    m = float(gradients(img, 1.4).mag.max())
+    below = PipelineConfig(canny_low=m * 1.01, canny_high=m * 2)
+    assert not detect_edges(img, below).bits.any()
+    assert detect_edges(img, below) == canny_chain(img, below)
+    at = PipelineConfig(canny_low=m, canny_high=m)  # the largest magnitude is an edge
+    edges = detect_edges(img, at)
+    assert edges.bits.sum() >= 1
+    assert edges == canny_chain(img, at)
 
 
 def test_canny_disk_ring():

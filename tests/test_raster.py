@@ -50,6 +50,20 @@ def test_truncated_payload_names_offset():
         read_pgm(b"P5\n2 2\n255\n\x00")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n+2 2\n255\n" + bytes(4), r"non-numeric width b'\+2' at byte 3"),
+        (b"P5\n2 1_0\n255\n" + bytes(20), r"non-numeric height b'1_0' at byte 5"),
+        (b"P5\n2 2\n2_55\n" + bytes(4), r"non-numeric maxval b'2_55' at byte 7"),
+    ],
+    ids=["signed-width", "underscored-height", "underscored-maxval"],
+)
+def test_header_numbers_are_ascii_decimal_digits_only(data, message):
+    with pytest.raises(PgmError, match=message):
+        read_pgm(data)
+
+
 def test_maxval_over_255_rejected():
     with pytest.raises(PgmError, match="maxval"):
         read_pgm(b"P5\n1 1\n65535\n\x00\x00")

@@ -1,10 +1,12 @@
 """sha256 pins of each per-image pixel stage, byte for byte.
 
 The digests were recorded before the median network and the pad-free
-borders replaced np.median and np.pad, and the glcm_features one before the
-region stages were cropped to the edge box, so a kernel rewrite that moves
-one low bit of one intermediate array fails here. Each stage's digest covers
-every input image under every sigma and both equalize settings.
+borders replaced np.median and np.pad, the glcm_features one before the
+region stages were cropped to the edge box, and the detect_edges one before
+it returned an empty map early and hysteresis skipped labelling, so a kernel
+rewrite that moves one low bit of one intermediate array fails here. Each
+stage's digest covers every input image under every sigma and both equalize
+settings; detect_edges also covers both threshold kinds.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import pytest
 
 from imgmine.config import PipelineConfig
 from imgmine.edge import gradients, hysteresis, non_max_suppress
-from imgmine.pipeline import RELATIVE_HIGH_FRAC, RELATIVE_LOW_FRAC, preprocess_image
+from imgmine.pipeline import RELATIVE_HIGH_FRAC, RELATIVE_LOW_FRAC, detect_edges, preprocess_image
 from imgmine.prep import GrayImage
 from imgmine.raster import read_pgm
 from imgmine.segment import FEATURE_NAMES, extract_regions, glcm_features
@@ -30,7 +32,11 @@ PINNED = {
     "hysteresis": "2d7493af11368a3d4cc18dc444fed986555b92577224f1f50cc5ecf99cc8a334",
     "extract_regions": "a1f690f633b299308fa0a965e1f217667f294a3b06c7c42e2df0d39f0b6a18c4",
     "glcm_features": "809e61596b26ffcd076c0941a0f3dad19723c103783caacaef024c65bba3a73b",
+    "detect_edges": "c329f76f794b234ea061dfcaf6d54b65f2a24f986499934a24f68d34d325f2ca",
 }
+
+# detect_edges under the synth corpus's absolute thresholds and the relative defaults.
+THRESHOLDS = ((5.0, 9.0), (None, None))
 
 
 def stage_images(tmp_path):
@@ -71,6 +77,9 @@ def digests(tmp_path_factory):
                     except ValueError:
                         continue  # no horizontal pair: the pipeline drops the region too
                     feed(out["glcm_features"], np.array([fv.value(n) for n in FEATURE_NAMES]))
+                for low, high in THRESHOLDS:
+                    cfg = PipelineConfig(sigma=sigma, canny_low=low, canny_high=high)
+                    feed(out["detect_edges"], detect_edges(pre, cfg).bits)
     return {name: d.hexdigest() for name, d in out.items()}
 
 
