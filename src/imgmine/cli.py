@@ -63,16 +63,25 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _each_image(fn, jobs, skip):
-    """[(job, fn(job))] over (name, ...) jobs in order, computed by pipeline.map_images.
+def _each_image(jobs, cfg, skip):
+    """[(job, its image's feature vectors)] over (name, path) jobs, in order.
 
-    A job that raises one of the `skip` errors is reported under its name and
-    left out; any other error is raised. Returns (pairs, whether one was left out).
+    pipeline.map_images runs the jobs in chunks of pipeline.JOB_IMAGES; the
+    images of a chunk are extracted together. A job that raises one of the
+    `skip` errors is reported under its name and left out; any other error is
+    raised. Returns (pairs, whether one was left out).
     """
     from . import pipeline
 
+    n = pipeline.JOB_IMAGES
+    chunks = [jobs[k : k + n] for k in range(0, len(jobs), n)]
+    outcomes = pipeline.map_images(
+        lambda chunk: pipeline.extract_each(lambda job: _read_image(job[1]), chunk, cfg), chunks)
+    per_job = []
+    for chunk, (each, exc) in zip(chunks, outcomes):
+        per_job += each if exc is None else [(None, exc)] * len(chunk)
     done, failed = [], False
-    for job, (result, exc) in zip(jobs, pipeline.map_images(fn, jobs)):
+    for job, (result, exc) in zip(jobs, per_job):
         if isinstance(exc, skip):
             _err(f"{job[0]}: {exc}")
             failed = True
@@ -89,14 +98,9 @@ def _manifest_tdb(manifest, entries, cfg):
     Unreadable images are reported and skipped. Only train entries keep their
     label. Returns (db, quantization, whether any image was skipped).
     """
-    from . import pipeline
-
-    done, failed = _each_image(
-        lambda job: pipeline.image_feature_vectors(_read_image(manifest.resolve(job[1])), cfg),
-        [(entry.path, entry) for entry in entries],
-        (OSError, PgmError, ValueError),
-    )
-    per_image = [(entry, fvs) for (_, entry), fvs in done]
+    jobs = [(entry.path, manifest.resolve(entry), entry) for entry in entries]
+    done, failed = _each_image(jobs, cfg, (OSError, PgmError, ValueError))
+    per_image = [(entry, fvs) for (_, _, entry), fvs in done]
     qm = QuantizationModel.fit(
         fv for entry, fvs in per_image if entry.split == "train" for fv in fvs
     )
@@ -204,13 +208,12 @@ def cmd_classify(args) -> int:
         else:
             entries = [(args.image, Path(args.image))]
         done, failed = _each_image(
-            lambda job: pipeline.image_transaction(
-                _read_image(job[1]), model.config, model.quantization, tid=job[0]
-            ),
             entries,
+            model.config,
             (OSError, PgmError) if args.manifest else (),  # a manifest skips, as features does
         )
-        for (name, _), t in done:
+        for (name, _), fvs in done:
+            t = pipeline.image_transaction(fvs, model.quantization, name)
             label, fired = harc.classify(model, t)
             rows.append((name, label, len(fired)))
     Path(args.output).write_text(csv_text("path,predicted,fired_rule_count", rows))

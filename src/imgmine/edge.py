@@ -47,13 +47,18 @@ def conv1d_replicate(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray
 
 def gradients(img: GrayImage, sigma: float) -> GradientField:
     """Separable derivative-of-Gaussian gradients (x = column, y = row), euclidean magnitude."""
-    a = img.pixels.astype(np.float64)
     g, d = gaussian_kernels(sigma)
-    # Both row passes read one border gather and window view, built as conv1d_replicate would.
-    win = sliding_window_view(replicate_border(a, len(g) // 2, 1), len(g), 1)
-    gx = conv1d_replicate(win @ d[::-1], g, axis=0)
-    gy = conv1d_replicate(win @ g[::-1], d, axis=0)
-    mag = np.sqrt(np.square(gx) + np.square(gy))
+    # Both row passes read one border gather and window view, built as conv1d_replicate
+    # would. On a stack every array is large, so no more than four are alive at once.
+    a = replicate_border(img.pixels, len(g) // 2, -1).astype(np.float64)
+    win = sliding_window_view(a, len(g), -1)
+    gx = conv1d_replicate(win @ d[::-1], g, axis=-2)
+    gy = win @ g[::-1]
+    del a, win
+    gy = conv1d_replicate(gy, d, axis=-2)
+    mag = np.square(gx)
+    mag += np.square(gy)
+    np.sqrt(mag, out=mag)
     # On a flat patch the derivative is zero only up to float rounding (~1e-13
     # for 8-bit input); snap that residue to an exact 0 so it is never an edge.
     mag[mag < FLAT_MAGNITUDE] = 0.0
@@ -72,20 +77,30 @@ _NEIGHBORS = (
 _TAN_22_5, _TAN_67_5 = math.tan(math.radians(22.5)), math.tan(math.radians(67.5))
 
 
+def _direction_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Index into _NEIGHBORS per pixel: the count of slope bounds |gy| / |gx| passes,
+    and 3 for a diagonal whose signs differ. One scratch array holds each bound."""
+    ay, bound = np.abs(gy), np.abs(gx)
+    bound *= _TAN_22_5
+    bins = (ay > bound).view(np.int8)
+    np.abs(gx, out=bound)
+    bound *= _TAN_67_5
+    bins += ay > bound
+    bins[(bins == 1) & ((gx < 0) != (gy < 0))] = 3
+    return bins
+
+
 def non_max_suppress(field: GradientField) -> np.ndarray:
     """Zero every pixel whose along-gradient neighbor is strictly greater in magnitude."""
     mag = field.mag
-    h, w = mag.shape
-    padded = np.zeros((h + 2, w + 2))  # off-image neighbors count as 0
-    padded[1:-1, 1:-1] = mag
-    # The bin counts the slope bounds |gy| / |gx| passes; a diagonal whose signs differ is 135.
-    ax, ay = np.abs(field.gx), np.abs(field.gy)
-    bins = (ay > _TAN_22_5 * ax).view(np.int8) + (ay > _TAN_67_5 * ax)
-    bins[(bins == 1) & ((field.gx < 0) != (field.gy < 0))] = 3
+    bins = _direction_bins(field.gx, field.gy)
+    h, w = mag.shape[-2:]
+    padded = np.zeros(mag.shape[:-2] + (h + 2, w + 2))  # off-image neighbors count as 0
+    padded[..., 1:-1, 1:-1] = mag
     keep = np.ones(mag.shape, dtype=bool)
     for b, ((dx1, dy1), (dx2, dy2)) in enumerate(_NEIGHBORS):
-        n1 = padded[1 + dy1 : 1 + dy1 + h, 1 + dx1 : 1 + dx1 + w]
-        n2 = padded[1 + dy2 : 1 + dy2 + h, 1 + dx2 : 1 + dx2 + w]
+        n1 = padded[..., 1 + dy1 : 1 + dy1 + h, 1 + dx1 : 1 + dx1 + w]
+        n2 = padded[..., 1 + dy2 : 1 + dy2 + h, 1 + dx2 : 1 + dx2 + w]
         keep &= (bins != b) | ((n1 <= mag) & (n2 <= mag))
     return np.where(keep, mag, 0.0)
 
@@ -94,9 +109,10 @@ def hysteresis(nms: np.ndarray, low: float, high: float) -> EdgeMap:
     """Dual-threshold edge tracking: strong pixels seed 8-connected growth through weak ones.
 
     A pixel with zero magnitude is never an edge, so a flat image has none
-    even under 0/0 thresholds.
+    even under 0/0 thresholds. Of a stack, each plane may have its own pair:
+    low and high then broadcast against it, with shape (planes, 1, 1).
     """
-    if low > high:
+    if np.any(low > high):
         raise ValueError("need low <= high")
     weak = (nms >= low) & (nms > 0)
     if not (weak & (nms < high)).any():  # every weak pixel is strong, so seeds its component

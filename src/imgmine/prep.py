@@ -8,13 +8,16 @@ import numpy as np
 
 
 class GrayImage:
-    """8-bit grayscale image, row-major, origin top-left (x = column, y = row)."""
+    """8-bit grayscale image, row-major, origin top-left (x = column, y = row).
+
+    A stack of same-size images has the image axes last; every kernel below takes one.
+    """
 
     def __init__(self, pixels):
         a = np.asarray(pixels)
-        if a.ndim != 2:
-            raise ValueError("pixels must be a 2D array")
-        if a.shape[0] < 1 or a.shape[1] < 1:
+        if a.ndim < 2:
+            raise ValueError("pixels must be a 2D array or a stack of them")
+        if 0 in a.shape:
             raise ValueError("image dimensions must be >= 1")
         if a.dtype != np.uint8:
             if np.any((a < 0) | (a > 255)):
@@ -25,11 +28,11 @@ class GrayImage:
 
     @property
     def width(self):
-        return self.pixels.shape[1]
+        return self.pixels.shape[-1]
 
     @property
     def height(self):
-        return self.pixels.shape[0]
+        return self.pixels.shape[-2]
 
     def __eq__(self, other):
         return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
@@ -43,18 +46,18 @@ class BinaryImage:
 
     def __init__(self, bits):
         a = np.asarray(bits, dtype=bool)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError("mask must be 2D with dimensions >= 1")
+        if a.ndim < 2 or 0 in a.shape:
+            raise ValueError("mask must be 2D, or a stack of 2D masks, with dimensions >= 1")
         self.bits = a
         self.bits.setflags(write=False)
 
     @property
     def width(self):
-        return self.bits.shape[1]
+        return self.bits.shape[-1]
 
     @property
     def height(self):
-        return self.bits.shape[0]
+        return self.bits.shape[-2]
 
     def __eq__(self, other):
         return isinstance(other, BinaryImage) and np.array_equal(self.bits, other.bits)
@@ -81,11 +84,17 @@ def replicate_border(a: np.ndarray, half: int, axis: int) -> np.ndarray:
 
 
 def bounding_box(bits: np.ndarray, margin: int = 0):
-    """Slices of the smallest box holding every True cell, widened by margin; None if none is."""
-    rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(bits.any(axis=0))
+    """Index of the smallest box holding every True cell of every plane, widened by margin.
+
+    The index is (..., rows, columns), so it crops one mask or a whole stack; None if no
+    cell is True.
+    """
+    planes = tuple(range(bits.ndim - 2))
+    rows = np.flatnonzero(bits.any(axis=planes + (-1,)))
+    cols = np.flatnonzero(bits.any(axis=planes + (-2,)))
     if not rows.size:
         return None
-    return tuple(slice(max(i[0] - margin, 0), i[-1] + 1 + margin) for i in (rows, cols))
+    return (...,) + tuple(slice(max(i[0] - margin, 0), i[-1] + 1 + margin) for i in (rows, cols))
 
 
 def label_components(bits, connectivity: int) -> np.ndarray:
@@ -93,17 +102,20 @@ def label_components(bits, connectivity: int) -> np.ndarray:
 
     Components are numbered 1.. in raster order of their first pixel. Two-pass
     run labelling: find the row runs, join the runs of adjacent rows that touch
-    with union-find, then paint each run with its component's number.
+    with union-find, then paint each run with its component's number. A stack of
+    masks is labelled plane by plane in one pass: each plane's numbers follow
+    those of the planes before it.
     """
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     bits = np.asarray(bits, dtype=bool)
-    h, w = bits.shape
-    framed = np.zeros((h, w + 2), dtype=np.int8)
-    framed[:, 1:-1] = bits
+    h, w = bits.shape[-2:]
+    framed = np.zeros((bits.size // w, w + 2), dtype=np.int8)
+    framed[:, 1:-1] = bits.reshape(-1, w)
     step = np.diff(framed, axis=1)
     row, start = np.nonzero(step == 1)
     end = np.nonzero(step == -1)[1]  # exclusive
+    row += row // h  # a one-row gap after each plane: no run touches another plane's
     # Run b touches the runs of the row above whose columns overlap its own,
     # widened by one column on each side under 8-connectivity. Those runs are
     # contiguous in raster order; keys row * (w + 2) + column keep rows apart.
@@ -124,16 +136,20 @@ def label_components(bits, connectivity: int) -> np.ndarray:
         while (parent[parent] != parent).any():
             parent = parent[parent]
     number = np.cumsum(parent == np.arange(len(row)), dtype=np.int32)[parent]
-    labels = np.zeros(h * w, dtype=np.int32)
+    labels = np.zeros(bits.size, dtype=np.int32)
     labels[bits.ravel()] = np.repeat(number, end - start)
-    return labels.reshape(h, w)
+    return labels.reshape(bits.shape)
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:
-    """Fill background pockets not reachable from the border (4-connected background)."""
+    """Fill background pockets not reachable from the border (4-connected background).
+
+    Of a stack, each plane's pockets are those its own four borders do not reach.
+    """
     pockets = label_components(~mask, 4)
     reached = np.zeros(pockets.max() + 1, dtype=bool)
-    reached[np.concatenate([pockets[0], pockets[-1], pockets[:, 0], pockets[:, -1]])] = True
+    borders = pockets[..., 0, :], pockets[..., -1, :], pockets[..., 0], pockets[..., -1]
+    reached[np.concatenate(borders, axis=None)] = True
     return mask | ~reached[pockets]
 
 
@@ -157,11 +173,13 @@ def align_peak(img: GrayImage, avg) -> GrayImage:
 
 
 def equalize(img: GrayImage) -> GrayImage:
-    """Histogram equalization: v -> round(255 * CDF(v)), round half up."""
-    counts = histogram(img)
-    cdf = np.cumsum(counts) / counts.sum()
+    """Histogram equalization of each image: v -> round(255 * CDF(v)), round half up."""
+    planes = img.pixels.reshape(-1, img.height * img.width)
+    values = planes + np.arange(0, 256 * len(planes), 256)[:, None]  # plane k's bins start at 256k
+    counts = np.bincount(values.ravel(), minlength=256 * len(planes)).reshape(-1, 256)
+    cdf = np.cumsum(counts, axis=1) / counts.sum(axis=1, keepdims=True)
     lut = np.floor(255.0 * cdf + 0.5).astype(np.uint8)
-    return GrayImage(lut[img.pixels])
+    return GrayImage(lut.ravel()[values].reshape(img.pixels.shape))
 
 
 def _median3(a, b, c):
@@ -175,12 +193,12 @@ def median3x3(img: GrayImage) -> GrayImage:
     median of nine is then the median of the largest column minimum, the median
     of the column medians and the smallest column maximum.
     """
-    h, w = img.pixels.shape
-    p = replicate_border(replicate_border(img.pixels, 1, 0), 1, 1)
-    top, mid, bottom = p[:h], p[1 : h + 1], p[2:]
+    h, w = img.height, img.width
+    p = replicate_border(replicate_border(img.pixels, 1, -2), 1, -1)
+    top, mid, bottom = p[..., :h, :], p[..., 1 : h + 1, :], p[..., 2:, :]
     lo, hi = np.minimum(top, mid), np.maximum(top, mid)
     triples = np.minimum(lo, bottom), np.maximum(lo, np.minimum(hi, bottom)), np.maximum(hi, bottom)
-    (a0, a1, a2), medians, (c0, c1, c2) = ([t[:, i : i + w] for i in range(3)] for t in triples)
+    (a0, a1, a2), medians, (c0, c1, c2) = ([t[..., i : i + w] for i in range(3)] for t in triples)
     low = np.maximum(np.maximum(a0, a1), a2)
     high = np.minimum(np.minimum(c0, c1), c2)
     return GrayImage(_median3(low, _median3(*medians), high))
@@ -209,11 +227,11 @@ def square3() -> StructuringElement:
 
 def _translates(a: BinaryImage, bits: np.ndarray):
     """One view per member (i, j) of bits: p reads the mask at p + (i, j) - origin, 0 off-image."""
-    h, w = a.bits.shape
+    h, w = a.height, a.width
     ry, rx = bits.shape[0] // 2, bits.shape[1] // 2
-    p = np.zeros((h + 2 * ry, w + 2 * rx), dtype=bool)
-    p[ry : ry + h, rx : rx + w] = a.bits
-    return [p[i : i + h, j : j + w] for i, j in zip(*np.nonzero(bits))]
+    p = np.zeros(a.bits.shape[:-2] + (h + 2 * ry, w + 2 * rx), dtype=bool)
+    p[..., ry : ry + h, rx : rx + w] = a.bits
+    return [p[..., i : i + h, j : j + w] for i, j in zip(*np.nonzero(bits))]
 
 
 def erode(a: BinaryImage, b: StructuringElement) -> BinaryImage:

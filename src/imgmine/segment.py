@@ -94,27 +94,32 @@ def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
     (bounding-box top-left corner, area) so extraction is deterministic.
     The stages run on the edge box widened by the dilation's reach: background
     outside it reaches the border in a straight line, and raster order is kept.
+    Of a stack, one such list per plane, cropped to the union of the planes' boxes,
+    which holds each plane's own box, so the same argument holds for every plane.
     """
     import numpy as np
     from .prep import BinaryImage, bounding_box, dilate, fill_holes, label_components, square3
-    if (edges.height, edges.width) != (img.height, img.width):
+    if edges.bits.shape != img.pixels.shape:
         raise ValueError("edge map and image dimensions differ")
-    box = bounding_box(edges.bits, 1)
-    if box is None:
-        return []
-    crop = BinaryImage(edges.bits[box])
-    labels = label_components(fill_holes(dilate(crop, square3()).bits), 8).ravel()
-    pixels = np.argsort(labels, kind="stable")  # by component, raster order within each
-    sizes = np.bincount(labels)
-    regions = []
-    for stop, size in zip(np.cumsum(sizes)[1:], sizes[1:]):
-        if size >= min_area:
-            ys, xs = np.divmod(pixels[stop - size : stop], crop.width)
-            ys, xs = ys + box[0].start, xs + box[1].start
-            bbox = (int(ys[0]), int(xs.min()), int(ys[-1]), int(xs.max()))
-            regions.append(Region(coords=np.stack([ys, xs], axis=1).astype(np.int64), bbox=bbox))
-    regions.sort(key=lambda r: (r.bbox[0], r.bbox[1], r.area))
-    return regions
+    planes = edges.bits.reshape(-1, edges.height, edges.width)
+    per_plane = [[] for _ in planes]
+    box = bounding_box(planes, 1)
+    if box is not None:
+        crop = BinaryImage(planes[box])
+        labels = label_components(fill_holes(dilate(crop, square3()).bits), 8).ravel()
+        pixels = np.argsort(labels, kind="stable")  # by component, raster order within each
+        sizes = np.bincount(labels)
+        for stop, size in zip(np.cumsum(sizes)[1:], sizes[1:]):
+            if size >= min_area:
+                ys, xs = np.divmod(pixels[stop - size : stop], crop.width)  # ys over the stacked rows
+                plane = int(ys[0]) // crop.height  # a component lies in one plane
+                ys, xs = ys + (box[1].start - plane * crop.height), xs + box[2].start
+                bbox = (int(ys[0]), int(xs.min()), int(ys[-1]), int(xs.max()))
+                region = Region(coords=np.stack([ys, xs], axis=1).astype(np.int64), bbox=bbox)
+                per_plane[plane].append(region)
+    for regions in per_plane:
+        regions.sort(key=lambda r: (r.bbox[0], r.bbox[1], r.area))
+    return per_plane if edges.bits.ndim > 2 else per_plane[0]
 
 
 def glcm_features(img: GrayImage, region: Region) -> FeatureVector:

@@ -634,6 +634,19 @@ def test_classify_extracts_with_the_model_settings(tmp_path):
     assert sha256(pred) == README_PRED_SHA256
 
 
+def test_classify_one_image_agrees_with_its_manifest_row(tmp_path):
+    """An image extracted alone gets the label and fired-rule count it gets in a stack of many."""
+    man, model = readme_chain_model(tmp_path)
+    pred, one = tmp_path / "pred.csv", tmp_path / "one.csv"
+    assert main(["classify", str(model), "--manifest", man, str(pred)]) == 0
+    manifest = read_manifest(man)
+    rows = pred.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [e.path for e in manifest.entries]
+    for entry, row in zip(manifest.entries, rows):
+        assert main(["classify", str(model), "--image", str(manifest.resolve(entry)), str(one)]) == 0
+        assert one.read_text().splitlines()[1].split(",")[1:] == row.split(",")[1:]
+
+
 def test_classify_config_disagreeing_with_the_model_exits_4(tmp_path, capsys):
     man, model = readme_chain_model(tmp_path)
     cfg, pred = tmp_path / "cfg.json", tmp_path / "pred.csv"

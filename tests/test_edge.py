@@ -385,8 +385,8 @@ def test_canny_flat_image_has_no_edges_or_objects():
     flat = gi(np.full((32, 32), 50))
     cfg = PipelineConfig()  # relative thresholds: 0/0 on a flat image
     assert not detect_edges(flat, cfg).bits.any()
-    assert image_feature_vectors(flat, cfg) == []
-    t = image_transaction(flat, cfg, QuantizationModel(), tid="flat")
+    assert image_feature_vectors([flat], cfg) == [[]]
+    t = image_transaction([], QuantizationModel(), tid="flat")
     assert t.items == (NO_OBJECT_ITEM,)
 
 

@@ -45,16 +45,25 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+# Manifest rows of skip_manifest that do not read: one in each of the first four jobs of
+# pipeline.JOB_IMAGES rows, so in two jobs of this process's (even) and two of the helper's.
+UNREADABLE = {2: "ghost.pgm", 10: "broken.pgm", 19: "above.pgm", 28: "empty.pgm"}
+SKIP_ROWS = 40
+
+
 def skip_manifest(tmp_path):
-    """Eight rows, with unreadable images on both this process's (even) and the helper's (odd) side."""
-    for i in range(4):
-        write_image(tmp_path / f"img{i}.pgm", blob_image(i))
-    write_image(tmp_path / "flat.pgm", np.full((32, 32), 90))
+    """Five jobs of rows, with unreadable images on both this process's and the helper's side."""
+    assert SKIP_ROWS == 5 * pipeline.JOB_IMAGES
     (tmp_path / "broken.pgm").write_bytes(b"P5\n32 32\n255\n")  # no pixel data
     (tmp_path / "above.pgm").write_bytes(b"P5 2 2 15\n" + bytes([1, 2, 200, 3]))
-    rows = ["img0.pgm,benign,train", "ghost.pgm,normal,train", "img1.pgm,malignant,train",
-            "broken.pgm,benign,test", "above.pgm,normal,train", "img2.pgm,normal,train",
-            "flat.pgm,normal,train", "img3.pgm,benign,test"]
+    (tmp_path / "empty.pgm").write_bytes(b"")
+    rows = []
+    for i in range(SKIP_ROWS):
+        name = UNREADABLE.get(i, f"img{i}.pgm")
+        if name not in UNREADABLE.values():
+            write_image(tmp_path / name, np.full((32, 32), 90) if i == 36 else blob_image(i))
+        label = ("normal", "benign", "malignant")[i % 3]
+        rows.append(f"{name},{label},{'test' if i % 4 == 1 else 'train'}")
     man = tmp_path / "manifest.csv"
     man.write_text("path,label,split\n" + "".join(row + "\n" for row in rows))
     return man
@@ -81,10 +90,23 @@ def test_image_commands_match_a_one_cpu_run(tmp_path, capsys, cpus, forks):
         assert len(forks) == (0 if n == 1 else len(commands))  # one helper a command
     assert runs[2] == runs[1]
     assert [rc for rc, _, _ in runs[2]] == [1, 1, 1]
-    err = runs[2][0][1]
-    order = [err.index(name) for name in ("ghost.pgm", "broken.pgm", "above.pgm")]
-    assert order == sorted(order)
+    for _, err, _ in runs[2]:
+        skipped = [line.split(":")[1].strip() for line in err.splitlines()]
+        assert skipped[:4] == list(UNREADABLE.values())
     assert_reaped(forks)
+
+
+def test_each_image_keeps_its_message_across_jobs(tmp_path, capsys, cpus):
+    """The stderr lines of features over skip_manifest, as one image at a time gives them."""
+    man = skip_manifest(tmp_path)
+    cpus(2)
+    assert main(["features", str(man), str(tmp_path / "tdb.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"imgmine: ghost.pgm: no such input: {tmp_path / 'ghost.pgm'}",
+        "imgmine: broken.pgm: truncated pixel data at byte 13",
+        "imgmine: above.pgm: pixel 200 above maxval 15 at byte 12",
+        "imgmine: empty.pgm: unexpected end of header at byte 0",
+    ]
 
 
 def raising_read(paths):
@@ -108,8 +130,8 @@ def test_an_uncaught_error_is_raised_in_manifest_order(tmp_path, capsys, cpus, f
     assert main(["train", "--manifest", str(man), str(tmp_path / "model.json")]) == 1
     capsys.readouterr()
     argv = [a.format(man=man, tmp=tmp_path) for a in argv]
-    # img2.pgm (manifest index 5) is the helper's, flat.pgm (index 6) this process's.
-    monkeypatch.setattr(cli, "_read_image", raising_read({"img2.pgm", "flat.pgm"}))
+    # img30.pgm is in the helper's second job, img34.pgm in this process's third.
+    monkeypatch.setattr(cli, "_read_image", raising_read({"img30.pgm", "img34.pgm"}))
     errors = {}
     for n in (1, 2):
         cpus(n)
@@ -118,8 +140,8 @@ def test_an_uncaught_error_is_raised_in_manifest_order(tmp_path, capsys, cpus, f
         errors[n] = (str(caught.value), capsys.readouterr().err)
     assert errors[2] == errors[1]
     message, err = errors[2]
-    assert message == "cannot decode img2.pgm"
-    assert all(name in err for name in ("ghost.pgm", "broken.pgm", "above.pgm"))
+    assert message == "cannot decode img30.pgm"
+    assert all(name in err for name in UNREADABLE.values())
     assert len(forks) == 1
     assert_reaped(forks)
 
@@ -177,16 +199,19 @@ def test_outcomes_come_back_in_job_order(cpus, forks):
 
 @pytest.mark.parametrize("kind", ["feature vectors", "transaction"])
 def test_image_outcomes_survive_the_pipe(cpus, forks, kind):
-    """The helper pickles each image's FeatureVector list or Transaction back to this process."""
+    """The helper pickles each job's FeatureVector lists or Transactions back to this process."""
     cfg = PipelineConfig()
     images = [GrayImage(blob_image(i).astype(np.uint8)) for i in range(4)]
-    qm = QuantizationModel.fit(fv for img in images for fv in pipeline.image_feature_vectors(img, cfg))
-    fn = {"feature vectors": lambda img: pipeline.image_feature_vectors(img, cfg),
-          "transaction": lambda img: pipeline.image_transaction(img, cfg, qm, tid="t")}[kind]
-    here = [fn(img) for img in images]
-    assert all(here) and all(pickle.loads(pickle.dumps(x, pickle.HIGHEST_PROTOCOL)) == x for x in here)
+    qm = QuantizationModel.fit(fv for fvs in pipeline.image_feature_vectors(images, cfg) for fv in fvs)
+    fn = {"feature vectors": lambda job: pipeline.image_feature_vectors(job, cfg),
+          "transaction": lambda job: [pipeline.image_transaction(fvs, qm, tid="t")
+                                      for fvs in pipeline.image_feature_vectors(job, cfg)]}[kind]
+    jobs = [images[:2], images[2:]]
+    here = [fn(job) for job in jobs]
+    assert all(all(x) for x in here)
+    assert all(pickle.loads(pickle.dumps(x, pickle.HIGHEST_PROTOCOL)) == x for x in here)
     cpus(2)
-    assert pipeline.map_images(fn, images) == [(x, None) for x in here]
+    assert pipeline.map_images(fn, jobs) == [(x, None) for x in here]
     assert len(forks) == 1
     assert_reaped(forks)
 
