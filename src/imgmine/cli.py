@@ -31,6 +31,7 @@ EXIT_PARTIAL = 1
 EXIT_IO = 2
 EXIT_SEMANTIC = 3
 EXIT_MODEL = 4
+SKIPPED = (OSError, ValueError)  # errors a manifest command skips an image for; PgmError is one
 
 
 def _err(msg):
@@ -66,22 +67,17 @@ def cmd_preprocess(args) -> int:
 def _each_image(jobs, cfg, skip):
     """[(job, its image's feature vectors)] over (name, path) jobs, in order.
 
-    pipeline.map_images runs the jobs in chunks of pipeline.JOB_IMAGES; the
-    images of a chunk are extracted together. A job that raises one of the
-    `skip` errors is reported under its name and left out; any other error is
-    raised. Returns (pairs, whether one was left out).
+    pipeline.map_images splits the jobs between this process and a helper, and
+    pipeline.extract_each extracts each side's images in stacks. A job that
+    raises one of the `skip` errors is reported under its name and left out;
+    any other error is raised. Returns (pairs, whether one was left out).
     """
     from . import pipeline
 
-    n = pipeline.JOB_IMAGES
-    chunks = [jobs[k : k + n] for k in range(0, len(jobs), n)]
     outcomes = pipeline.map_images(
-        lambda chunk: pipeline.extract_each(lambda job: _read_image(job[1]), chunk, cfg), chunks)
-    per_job = []
-    for chunk, (each, exc) in zip(chunks, outcomes):
-        per_job += each if exc is None else [(None, exc)] * len(chunk)
+        lambda some: pipeline.extract_each(lambda job: _read_image(job[1]), some, cfg), jobs)
     done, failed = [], False
-    for job, (result, exc) in zip(jobs, per_job):
+    for job, (result, exc) in zip(jobs, outcomes):
         if isinstance(exc, skip):
             _err(f"{job[0]}: {exc}")
             failed = True
@@ -99,7 +95,7 @@ def _manifest_tdb(manifest, entries, cfg):
     label. Returns (db, quantization, whether any image was skipped).
     """
     jobs = [(entry.path, manifest.resolve(entry), entry) for entry in entries]
-    done, failed = _each_image(jobs, cfg, (OSError, PgmError, ValueError))
+    done, failed = _each_image(jobs, cfg, SKIPPED)
     per_image = [(entry, fvs) for (_, _, entry), fvs in done]
     qm = QuantizationModel.fit(
         fv for entry, fvs in per_image if entry.split == "train" for fv in fvs
@@ -207,11 +203,7 @@ def cmd_classify(args) -> int:
             entries = [(e.path, manifest.resolve(e)) for e in manifest.entries]
         else:
             entries = [(args.image, Path(args.image))]
-        done, failed = _each_image(
-            entries,
-            model.config,
-            (OSError, PgmError) if args.manifest else (),  # a manifest skips, as features does
-        )
+        done, failed = _each_image(entries, model.config, SKIPPED if args.manifest else ())
         for (name, _), fvs in done:
             t = pipeline.image_transaction(fvs, model.quantization, name)
             label, fired = harc.classify(model, t)
@@ -355,7 +347,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "quant", None) is not None and args.manifest:  # train reads it with --tdb only
+        parser.error("argument --quant: not allowed with argument --manifest")
     try:
         return args.func(args)
     except (FileNotFoundError, OSError, PgmError) as exc:

@@ -24,7 +24,7 @@ RELATIVE_HIGH_FRAC = 0.25
 # image_feature_vectors runs images of one size in stacks of at most this many pixels:
 # eight 64 x 64 images. A larger image runs alone.
 STACK_PIXELS = 2**15
-# The image commands hand map_images jobs of this many images: one full stack at 64 px.
+# extract_each reads and extracts this many images at a time: one full stack at 64 px.
 JOB_IMAGES = STACK_PIXELS // 64**2
 
 
@@ -96,56 +96,64 @@ def _attempt(fn, job):
 def extract_each(read, jobs, cfg: PipelineConfig):
     """(feature vectors, None) or (None, the exception) per job, in job order.
 
-    Each job's image is read(job), and the images that read are extracted
-    together by image_feature_vectors; an error there is every such job's.
+    The jobs run JOB_IMAGES at a time: each job's image is read(job), and the
+    images of those jobs that read are extracted together by
+    image_feature_vectors; an error there is every such job's.
     """
-    images = [_attempt(read, job) for job in jobs]
-    readable = [img for img, e in images if e is None]
-    fvs, exc = _attempt(lambda ok: image_feature_vectors(ok, cfg), readable)
-    if exc is not None:
-        return [(None, exc if e is None else e) for _, e in images]
-    each = iter(fvs)
-    return [(next(each), None) if e is None else (None, e) for _, e in images]
+    out = []
+    for k in range(0, len(jobs), JOB_IMAGES):
+        images = [_attempt(read, job) for job in jobs[k : k + JOB_IMAGES]]
+        readable = [img for img, e in images if e is None]
+        fvs, exc = _attempt(lambda ok: image_feature_vectors(ok, cfg), readable)
+        if exc is not None:
+            out += [(None, exc if e is None else e) for _, e in images]
+        else:
+            each = iter(fvs)
+            out += [(next(each), None) if e is None else (None, e) for _, e in images]
+    return out
 
 
-def map_images(fn, jobs):
-    """fn over jobs, in job order, each as (result, None) or (None, exception).
+def map_images(run, jobs):
+    """The outcomes of run over jobs, in job order; run(some jobs) gives one per job.
 
-    With at least two jobs and two CPUs to run on, one forked helper computes
-    every other job and sends its outcomes back as one pickle while this
-    process computes the rest. The images are independent, so the order of
-    the outcomes is the only thing to keep. A helper that fails in any way
-    (killed, an outcome that does not pickle) has its jobs computed here
-    instead, and so do all jobs when no process can be started: the outcomes
-    never depend on it.
+    run is called on jobs[0::2] and on jobs[1::2], wherever it runs, so the jobs it
+    sees together never depend on the CPUs. With two CPUs to run on, one forked
+    helper computes the second half and sends its outcomes back as one pickle while
+    this process computes the first. The images are independent, so the order of
+    the outcomes is the only thing to keep. A helper that fails in any way (killed,
+    an outcome that does not pickle) has its half computed here instead, and so does
+    every job when no process can be started: the outcomes never depend on it.
     """
     jobs = list(jobs)
-    if len(jobs) < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return [_attempt(fn, job) for job in jobs]
+    ours, theirs = jobs[0::2], jobs[1::2]
+    merged = [None] * len(jobs)
+    if not theirs or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        merged[0::2], merged[1::2] = run(ours), run(theirs)
+        return merged
     # A bare fork, not a spawned pool: a spawned worker imports numpy again
     # (over 100 ms), and this process runs no other Python thread; OpenBLAS
     # stops and restarts its own pool around a fork.
-    theirs = jobs[1::2]
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare
         os.close(read_fd)
         os.close(write_fd)
-        return [_attempt(fn, job) for job in jobs]
+        merged[0::2], merged[1::2] = run(ours), run(theirs)
+        return merged
     if pid == 0:  # the helper: never returns, and runs no exit handler of the parent's
         code = 1
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as out:
-                pickle.dump([_attempt(fn, job) for job in theirs], out, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(run(theirs), out, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
     with os.fdopen(read_fd, "rb") as results:
         try:
-            outcomes = [_attempt(fn, job) for job in jobs[0::2]]
+            merged[0::2] = run(ours)
             data = results.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -153,7 +161,5 @@ def map_images(fn, jobs):
         finally:
             status = os.waitpid(pid, 0)[1]
     # The helper exits 0 only once every outcome is written.
-    received = pickle.loads(data) if status == 0 else [_attempt(fn, job) for job in theirs]
-    merged = [None] * len(jobs)
-    merged[0::2], merged[1::2] = outcomes, received
+    merged[1::2] = pickle.loads(data) if status == 0 else run(theirs)
     return merged

@@ -129,8 +129,6 @@ def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
     symmetric horizontal-offset matrix over in-region pixel pairs.
     """
     import numpy as np
-    if region.area == 0:
-        raise ValueError("region is empty")
     ys, xs = region.coords[:, 0], region.coords[:, 1]
     vals = img.pixels[ys, xs]
     levels = (vals.astype(np.int32) * GLCM_LEVELS) // 256

@@ -276,11 +276,18 @@ def test_each_command_takes_only_the_settings_it_reads():
 def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(labeled_tdb())
-    with pytest.raises(SystemExit) as exc:
-        main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--sigma", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --sigma 2" in capsys.readouterr().err
-    assert not (tmp_path / "m.csv").exists()
+    man = make_manifest(tmp_path, n=2)
+    for argv, message, output in [
+        (["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--sigma", "2"],
+         "unrecognized arguments: --sigma 2", tmp_path / "m.csv"),
+        (["train", "--manifest", str(man), "--quant", str(tmp_path / "none.json"),
+          str(tmp_path / "model.json")], "--quant", tmp_path / "model.json"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not output.exists()
 
 
 def test_evaluate_unknown_predicted_label_exits_3(tmp_path):
@@ -847,11 +854,14 @@ def test_classify_manifest_unreadable_image_partial(tmp_path, capsys):
     model = tmp_path / "model.json"
     assert main(["train", "--manifest", str(man), str(model)]) == 0
     (tmp_path / "broken.pgm").write_bytes(b"P5\n32 32\n255\n")  # no pixel data
-    man.write_text(man.read_text() + "ghost.pgm,normal,test\nbroken.pgm,benign,test\n")
+    # a path the OS rejects (a NUL byte) is skipped too, as features skips it
+    man.write_text(man.read_text() + "ghost.pgm,normal,test\nbroken.pgm,benign,test\n"
+                   "nul\0.pgm,benign,test\n")
     pred = tmp_path / "pred.csv"
     assert main(["classify", str(model), "--manifest", str(man), str(pred)]) == 1
     err = capsys.readouterr().err
     assert "ghost.pgm" in err and "broken.pgm" in err
+    assert "imgmine: nul\0.pgm: embedded null byte" in err.splitlines()
     rows = pred.read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["img0.pgm", "img1.pgm", "dark.pgm"]
 

@@ -45,15 +45,17 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-# Manifest rows of skip_manifest that do not read: one in each of the first four jobs of
-# pipeline.JOB_IMAGES rows, so in two jobs of this process's (even) and two of the helper's.
+# Manifest rows of skip_manifest that do not read. The helper takes the odd rows, so rows 2,
+# 10 and 28 fall on this process's side and row 19 on the helper's. Each side extracts its
+# rows eight at a time: rows 2 and 10 share this process's first stack, row 28 is in its
+# second, and row 19 is in the helper's second.
 UNREADABLE = {2: "ghost.pgm", 10: "broken.pgm", 19: "above.pgm", 28: "empty.pgm"}
 SKIP_ROWS = 40
 
 
 def skip_manifest(tmp_path):
-    """Five jobs of rows, with unreadable images on both this process's and the helper's side."""
-    assert SKIP_ROWS == 5 * pipeline.JOB_IMAGES
+    """Forty rows, with unreadable images on both this process's and the helper's side."""
+    assert pipeline.JOB_IMAGES == 8
     (tmp_path / "broken.pgm").write_bytes(b"P5\n32 32\n255\n")  # no pixel data
     (tmp_path / "above.pgm").write_bytes(b"P5 2 2 15\n" + bytes([1, 2, 200, 3]))
     (tmp_path / "empty.pgm").write_bytes(b"")
@@ -109,6 +111,34 @@ def test_each_image_keeps_its_message_across_jobs(tmp_path, capsys, cpus):
     ]
 
 
+def test_an_extraction_error_is_each_readable_image_of_its_stack(tmp_path, capsys, cpus,
+                                                                  monkeypatch):
+    """img21.pgm is in the helper's second stack, the odd rows 17-31; row 19 does not read."""
+    man = skip_manifest(tmp_path)
+    extract, chosen = pipeline.image_feature_vectors, cli._read_image(tmp_path / "img21.pgm")
+
+    def fake(images, cfg):
+        if any(np.array_equal(image.pixels, chosen.pixels) for image in images):
+            raise ValueError("cannot extract")
+        return extract(images, cfg)
+
+    monkeypatch.setattr(pipeline, "image_feature_vectors", fake)
+    tdb = tmp_path / "tdb.csv"
+    runs = {}
+    for n in (1, 2):
+        cpus(n)
+        runs[n] = run(capsys, ["features", str(man), str(tdb)], [tdb])
+    assert runs[2] == runs[1]
+    rc, err, [written] = runs[2]
+    assert rc == 1
+    stack = [f"img{i}.pgm" for i in range(17, 32, 2) if i != 19]
+    assert [line for line in err.splitlines() if "cannot extract" in line] == [
+        f"imgmine: {name}: cannot extract" for name in stack]
+    assert "imgmine: above.pgm: pixel 200 above maxval 15 at byte 12" in err.splitlines()
+    tids = {line.split(",")[0] for line in written.decode().splitlines()}
+    assert not tids & set(stack) and "img20.pgm" in tids
+
+
 def raising_read(paths):
     read = cli._read_image
 
@@ -130,8 +160,8 @@ def test_an_uncaught_error_is_raised_in_manifest_order(tmp_path, capsys, cpus, f
     assert main(["train", "--manifest", str(man), str(tmp_path / "model.json")]) == 1
     capsys.readouterr()
     argv = [a.format(man=man, tmp=tmp_path) for a in argv]
-    # img30.pgm is in the helper's second job, img34.pgm in this process's third.
-    monkeypatch.setattr(cli, "_read_image", raising_read({"img30.pgm", "img34.pgm"}))
+    # img31.pgm (an odd row) is the helper's, img34.pgm (an even row) this process's.
+    monkeypatch.setattr(cli, "_read_image", raising_read({"img31.pgm", "img34.pgm"}))
     errors = {}
     for n in (1, 2):
         cpus(n)
@@ -140,7 +170,7 @@ def test_an_uncaught_error_is_raised_in_manifest_order(tmp_path, capsys, cpus, f
         errors[n] = (str(caught.value), capsys.readouterr().err)
     assert errors[2] == errors[1]
     message, err = errors[2]
-    assert message == "cannot decode img30.pgm"
+    assert message == "cannot decode img31.pgm"
     assert all(name in err for name in UNREADABLE.values())
     assert len(forks) == 1
     assert_reaped(forks)
@@ -183,13 +213,11 @@ def test_a_fork_that_fails_runs_every_image_here(tmp_path, capsys, cpus, monkeyp
 
 
 def test_outcomes_come_back_in_job_order(cpus, forks):
-    def fn(j):
-        if j % 3 == 0:
-            raise ValueError(f"job {j}")
-        return j * j
+    def run(some):
+        return [(None, ValueError(f"job {j}")) if j % 3 == 0 else (j * j, None) for j in some]
 
     cpus(2)
-    outcomes = pipeline.map_images(fn, range(7))
+    outcomes = pipeline.map_images(run, range(7))
     assert [value for value, _ in outcomes] == [None, 1, 4, None, 16, 25, None]
     assert [str(exc) if exc else None for _, exc in outcomes] == [
         "job 0", None, None, "job 3", None, None, "job 6"]
@@ -199,26 +227,29 @@ def test_outcomes_come_back_in_job_order(cpus, forks):
 
 @pytest.mark.parametrize("kind", ["feature vectors", "transaction"])
 def test_image_outcomes_survive_the_pipe(cpus, forks, kind):
-    """The helper pickles each job's FeatureVector lists or Transactions back to this process."""
+    """The helper pickles its images' FeatureVector lists or Transactions back to this process."""
     cfg = PipelineConfig()
     images = [GrayImage(blob_image(i).astype(np.uint8)) for i in range(4)]
     qm = QuantizationModel.fit(fv for fvs in pipeline.image_feature_vectors(images, cfg) for fv in fvs)
-    fn = {"feature vectors": lambda job: pipeline.image_feature_vectors(job, cfg),
-          "transaction": lambda job: [pipeline.image_transaction(fvs, qm, tid="t")
-                                      for fvs in pipeline.image_feature_vectors(job, cfg)]}[kind]
-    jobs = [images[:2], images[2:]]
-    here = [fn(job) for job in jobs]
-    assert all(all(x) for x in here)
+    each = {"feature vectors": lambda fvs: fvs,
+            "transaction": lambda fvs: pipeline.image_transaction(fvs, qm, tid="t")}[kind]
+
+    def run(some):
+        return [(each(fvs), None) for fvs in pipeline.image_feature_vectors(some, cfg)]
+
+    here = [run([image])[0] for image in images]
+    assert all(value for value, _ in here)
     assert all(pickle.loads(pickle.dumps(x, pickle.HIGHEST_PROTOCOL)) == x for x in here)
     cpus(2)
-    assert pipeline.map_images(fn, jobs) == [(x, None) for x in here]
+    assert pipeline.map_images(run, images) == here
     assert len(forks) == 1
     assert_reaped(forks)
 
 
 def test_a_helper_whose_outcome_does_not_pickle_is_replaced(cpus, forks):
     cpus(2)
-    outcomes = pipeline.map_images(lambda j: (lambda: j), range(4))  # a lambda does not pickle
+    outcomes = pipeline.map_images(  # a lambda does not pickle
+        lambda some: [((lambda j=j: j), None) for j in some], range(4))
     assert [value() for value, _ in outcomes] == [0, 1, 2, 3]
     assert len(forks) == 1
     assert_reaped(forks)
@@ -227,7 +258,7 @@ def test_a_helper_whose_outcome_does_not_pickle_is_replaced(cpus, forks):
 def test_an_interrupt_in_this_process_kills_and_reaps_the_helper(cpus, forks):
     parent = os.getpid()
 
-    def fn(j):
+    def run(some):
         if os.getpid() != parent:
             time.sleep(60)  # the helper would outlive the call unless it is killed
         raise KeyboardInterrupt
@@ -235,17 +266,25 @@ def test_an_interrupt_in_this_process_kills_and_reaps_the_helper(cpus, forks):
     cpus(2)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        pipeline.map_images(fn, range(2))
+        pipeline.map_images(run, range(2))
     assert time.monotonic() - t0 < 30
     assert len(forks) == 1
     assert_reaped(forks)
 
 
 def test_one_job_or_one_cpu_runs_here(cpus, forks):
+    """Here too run sees every other job, so which jobs share a stack never depends on the CPUs."""
+    seen = []
+
+    def run(some):
+        seen.append(some)
+        return [(abs(j), None) for j in some]
+
     cpus(2)
-    assert pipeline.map_images(abs, [-3]) == [(3, None)]
+    assert pipeline.map_images(run, [-3]) == [(3, None)]
     cpus(1)
-    assert pipeline.map_images(abs, [-3, 4, -5]) == [(3, None), (4, None), (5, None)]
+    assert pipeline.map_images(run, [-3, 4, -5]) == [(3, None), (4, None), (5, None)]
+    assert seen == [[-3], [], [-3, -5], [4]]
     assert forks == []
 
 

@@ -229,6 +229,11 @@ def test_glcm_matches_brute_force_pair_counts():
         assert fv.area == region.area
 
 
+def test_glcm_empty_region_raises():
+    with pytest.raises(ValueError):
+        glcm_features(flat(4), Region(np.zeros((0, 2), dtype=np.int64), (0, 0, 0, 0)))
+
+
 def test_glcm_vertical_strip_undefined():
     mask = np.zeros((4, 4), dtype=bool)
     mask[:, 1] = True  # no horizontally adjacent pair
