@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -361,5 +362,16 @@ def main(argv=None) -> int:
         return EXIT_SEMANTIC
 
 
+def run():
+    """Process entry: main, then exit with its code. gc.freeze() first takes the heap,
+    numpy's included, out of the interpreter's last collection, which would only walk
+    objects the OS frees anyway; main has closed every artifact, and exit still flushes
+    the streams and runs atexit handlers. main never freezes: it also runs in longer-lived
+    processes, where each freeze would keep that call's uncollected cycles for good."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

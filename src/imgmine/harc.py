@@ -216,8 +216,10 @@ def _ratio(pair):
 
 def _tree_from_dict(d, n_attributes):
     if "leaf" in d:
-        counts = dict(d["distribution"]).items()
-        distribution = {_known_class(c): _positive_int(n) for c, n in counts}
+        counts = d["distribution"]
+        if type(counts) is not dict:  # an array of pairs would merge a repeated class
+            raise ValueError(f"leaf distribution {counts!r} is not an object")
+        distribution = {_known_class(c): _positive_int(n) for c, n in counts.items()}
         return Leaf(label=_known_class(d["leaf"]), distribution=distribution)
     attribute = d["attribute"]
     if type(attribute) is not int or not 0 <= attribute < n_attributes:

@@ -274,6 +274,15 @@ def write_tdb_csv(db: TransactionDB) -> bytes:
     return csv_text(TDB_HEADER, rows).encode("utf-8")
 
 
+def _item(token: str) -> int:
+    """One item as write_tdb_csv writes it: ASCII decimal digits. A leading minus still
+    reads, so that Transaction rejects the item as not positive; int()'s other forms (a
+    plus sign, an underscore, a space, non-ASCII digits) do not."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def read_tdb_csv(data: bytes) -> TransactionDB:
     text = data.decode("utf-8")
     transactions = []
@@ -288,7 +297,7 @@ def read_tdb_csv(data: bytes) -> TransactionDB:
             raise TdbError(f"line {lineno}: duplicate tid {tid!r}")
         seen.add(tid)
         try:
-            items = tuple(int(s) for s in items_str.split(";") if s)
+            items = tuple(_item(s) for s in items_str.split(";") if s)
         except ValueError:
             raise TdbError(f"line {lineno}: non-numeric item in {items_str!r}") from None
         reserved = [i for i in items if i in ITEM_CLASSES]

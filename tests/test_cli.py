@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -167,9 +168,12 @@ def test_malformed_model_exits_4(tmp_path, capsys):
     assert json.dumps(doc).count('{"benign": 10}') == 1
     bad_distribution = json.loads(
         json.dumps(doc).replace('{"benign": 10}', '{"benign": "lots", "x": null}'))
+    pair_distribution = json.loads(  # dict() would read it, merging the repeated class
+        json.dumps(doc).replace('{"benign": 10}', '[["benign", 3], ["benign", 10]]'))
     broken_docs = (no_rules, bad_type, out_of_range, negative, unknown_leaf, unknown_default,
                    no_config, short_config, mining_config, bad_config, nan_range, inverted_range,
-                   one_feature, float_split, bool_split, string_split, *bad_rules, bad_distribution)
+                   one_feature, float_split, bool_split, string_split, *bad_rules, bad_distribution,
+                   pair_distribution)
     for text in [*map(json.dumps, broken_docs), "[" * 100_000]:
         model = tmp_path / "model.json"
         model.write_text(text)
@@ -403,7 +407,13 @@ def test_malformed_tdb_exits_3(tmp_path):
     (b"a,,1;0\n", "line 2: items must be positive integers"),
     (b"a,,1;-4\n", "line 2: items must be positive integers"),
     (b"a,cancer,1\n", "line 2: unknown class label 'cancer'"),
-], ids=["zero-item", "negative-item", "unknown-label"])
+    # int() reads each of these as an item; write_tdb_csv writes ASCII digits only
+    (b"a,,1_21\n", "line 2: non-numeric item in '1_21'"),
+    (b"a,,+111\n", "line 2: non-numeric item in '+111'"),
+    (b"a,, 111\n", "line 2: non-numeric item in ' 111'"),
+    ("a,,\u0661\u0661\u0661\n".encode(), "line 2: non-numeric item in '\u0661\u0661\u0661'"),
+], ids=["zero-item", "negative-item", "unknown-label", "underscore", "plus-sign", "space",
+        "arabic-indic-digits"])
 def test_invalid_transaction_row_exits_3(tmp_path, capsys, rows, message):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(TDB_HEADER + rows)
@@ -618,6 +628,15 @@ def readme_chain_model(tmp_path):
     return man, model
 
 
+README_DIGESTS = {
+    "tdb.csv": "1795f3d3234fe691dd3f38f9637e9a545e8ab57ccaa2d761950f532eecf2cf40",
+    "mfi.csv": "b065f349758703b6ab5c33ac083517cef1a952b558a7d7bea27d3c295c176fec",
+    "rules.csv": "4018328928973404e3a93dcf99d8f490a4d02359f7502c3c11fdf94dd73dc19a",
+    "model.json": "00e6320b09976a646f8f9776e637748cb4171a003452642ed4f9ce6188993dae",
+    "pred.csv": README_PRED_SHA256,
+}
+
+
 def test_readme_chain_artifact_digests(tmp_path):
     """Artifact bytes of the README chain (synth seed 42, corpus config)."""
     man, model = readme_chain_model(tmp_path)
@@ -626,11 +645,34 @@ def test_readme_chain_artifact_digests(tmp_path):
     mfi, rules = tmp_path / "mfi.csv", tmp_path / "rules.csv"
     assert main(["mine", str(tdb), "--mfi", str(mfi), "--rules", str(rules), "--config", cfg]) == 0
     assert main(["classify", str(model), "--manifest", man, str(pred), "--config", cfg]) == 0
-    assert sha256(tdb) == "1795f3d3234fe691dd3f38f9637e9a545e8ab57ccaa2d761950f532eecf2cf40"
-    assert sha256(mfi) == "b065f349758703b6ab5c33ac083517cef1a952b558a7d7bea27d3c295c176fec"
-    assert sha256(rules) == "4018328928973404e3a93dcf99d8f490a4d02359f7502c3c11fdf94dd73dc19a"
-    assert sha256(model) == "00e6320b09976a646f8f9776e637748cb4171a003452642ed4f9ce6188993dae"
-    assert sha256(pred) == README_PRED_SHA256
+    assert {name: sha256(tmp_path / name) for name in README_DIGESTS} == README_DIGESTS
+
+
+def cli_child(argv, cwd=None, program=("-m", "imgmine.cli")):
+    """Run the CLI in a fresh interpreter, as an installed `imgmine` or perfbench runs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, *program, *argv], cwd=cwd, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_readme_chain_as_child_processes(tmp_path):
+    """The README chain through `python -m imgmine.cli`: each child exits 0 with its
+    artifacts written in full, though none collects its heap at exit."""
+    cfg = ["--config", "corpus/config.json"]
+    chain = [
+        ["synth", "corpus", "--seed", "42"],
+        ["features", "corpus/manifest.csv", "tdb.csv", *cfg],
+        ["mine", "tdb.csv", "--mfi", "mfi.csv", "--rules", "rules.csv", *cfg],
+        ["train", "--tdb", "tdb.csv", "model.json", *cfg],
+        ["classify", "model.json", "--manifest", "corpus/manifest.csv", "pred.csv", *cfg],
+        ["evaluate", "pred.csv", "corpus/manifest.csv", "--split", "test", "--output", "metrics.csv"],
+    ]
+    for argv in chain:
+        proc = cli_child(argv, tmp_path)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert {name: sha256(tmp_path / name) for name in README_DIGESTS} == README_DIGESTS
+    assert "accuracy:" in proc.stdout
+    assert (tmp_path / "metrics.csv").read_text().startswith("metric,value\n")
 
 
 def test_classify_extracts_with_the_model_settings(tmp_path):
@@ -816,17 +858,40 @@ def startup_inputs(tmp_path_factory):
 @pytest.mark.parametrize("command", list(STARTUP))
 def test_each_command_child_loads_only_its_layers(startup_inputs, command):
     argv, unloaded, loaded = STARTUP[command]
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, *(a.format(d=startup_inputs) for a in argv)],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = cli_child([a.format(d=startup_inputs) for a in argv], program=("-c", STARTUP_PROBE))
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout.splitlines()[-1])
     assert child["code"] == 0, proc.stderr
     modules = set(child["modules"])
     assert sorted(modules & {"dataclasses", *unloaded}) == []
     assert set(loaded) <= modules
+
+
+FREEZE_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+runpy.run_module("imgmine.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("command", ["mine --rules", "classify --manifest"])
+def test_cli_process_freezes_its_heap_before_exit(startup_inputs, command):
+    """`python -m imgmine.cli` runs cli.run, which freezes the heap once main returns,
+    so the interpreter's last collection skips it; atexit handlers still run."""
+    argv = [a.format(d=startup_inputs) for a in STARTUP[command][0]]
+    proc = cli_child(argv, startup_inputs, program=("-c", FREEZE_PROBE))
+    assert proc.returncode == 0, proc.stderr
+    word, count = proc.stdout.splitlines()[-1].split()
+    assert word == "frozen" and int(count) > 0
+
+
+def test_main_leaves_the_heap_unfrozen(startup_inputs):
+    """main also runs inside longer-lived processes (tests, the traced benchmark): only
+    the process entry freezes."""
+    before = gc.get_freeze_count()
+    argv = [a.format(d=startup_inputs) for a in STARTUP["mine --rules"][0]]
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_train_honours_levels(tmp_path):
