@@ -10,10 +10,10 @@ import math
 import sys
 from pathlib import Path
 
-# Each command imports only the layers it runs, inside its own body: mine, train --tdb,
+# Each command imports only the layers it runs, inside its own body: mine, train,
 # classify --tdb and evaluate never load numpy or a pixel module, mine loads neither harc
 # nor metrics, and evaluate neither fpm nor harc.
-from .config import EXTRACTION_KEYS, ConfigError, PipelineConfig, load_config, read_manifest
+from .config import EXTRACTION_KEYS, ConfigError, PipelineConfig, config_to_json, load_config, read_manifest
 from .raster import PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
@@ -89,13 +89,16 @@ def _each_image(jobs, cfg, skip):
     return done, failed
 
 
-def _manifest_tdb(manifest, entries, cfg):
-    """Features per entry, quantization fit on the train split, one transaction per image.
+def cmd_features(args) -> int:
+    """Features per image, quantization fit on the train split, one transaction per image.
 
     Unreadable images are reported and skipped. Only train entries keep their
-    label. Returns (db, quantization, whether any image was skipped).
+    label. Beside the TDB go <tdb>.quant.json and <tdb>.config.json, the
+    extraction settings, which train reads back.
     """
-    jobs = [(entry.path, manifest.resolve(entry), entry) for entry in entries]
+    cfg = _config_from_args(args)
+    manifest = read_manifest(args.manifest)
+    jobs = [(entry.path, manifest.resolve(entry), entry) for entry in manifest.entries]
     done, failed = _each_image(jobs, cfg, SKIPPED)
     per_image = [(entry, fvs) for (_, _, entry), fvs in done]
     qm = QuantizationModel.fit(
@@ -110,17 +113,11 @@ def _manifest_tdb(manifest, entries, cfg):
         )
         for entry, fvs in per_image
     ]
-    return TransactionDB(transactions=transactions), qm, failed
-
-
-def cmd_features(args) -> int:
-    cfg = _config_from_args(args)
-    manifest = read_manifest(args.manifest)
-    db, qm, failed = _manifest_tdb(manifest, manifest.entries, cfg)
     out = Path(args.output)
-    out.write_bytes(write_tdb_csv(db))
-    quant_path = Path(args.quant_out) if args.quant_out else out.with_suffix(out.suffix + ".quant.json")
+    out.write_bytes(write_tdb_csv(TransactionDB(transactions=transactions)))
+    quant_path = Path(args.quant_out) if args.quant_out else Path(str(out) + ".quant.json")
     quant_path.write_text(json.dumps(qm.to_dict(), indent=2, sort_keys=True) + "\n")
+    Path(str(out) + ".config.json").write_text(config_to_json(cfg, EXTRACTION_KEYS))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -153,20 +150,34 @@ def _load_quantization(tdb_path, explicit):
     return QuantizationModel()
 
 
+def _disagree(cfg, cfg_path, recorded, source):
+    """Whether cfg differs from recorded on an extraction setting; if so, names both."""
+    differ = [k for k in EXTRACTION_KEYS if getattr(cfg, k) != getattr(recorded, k)]
+    if differ:
+        _err(f"config {cfg_path} and {source} disagree on {', '.join(differ)}")
+    return bool(differ)
+
+
 def cmd_train(args) -> int:
+    """Train with the extraction settings that features recorded beside the TDB;
+    --config only checks them, and sets minsup and minconf."""
     from . import harc
 
     cfg = _config_from_args(args)
-    failed = False
-    if args.tdb:
-        db = read_tdb_csv(Path(args.tdb).read_bytes())
-        qm = _load_quantization(args.tdb, args.quant)
+    db = read_tdb_csv(Path(args.tdb).read_bytes())
+    record = Path(str(args.tdb) + ".config.json")
+    if record.exists():
+        extraction = load_config(record)
+        if args.config and _disagree(cfg, args.config, extraction, f"record {record}"):
+            return EXIT_MODEL
     else:
-        manifest = read_manifest(args.manifest)
-        db, qm, failed = _manifest_tdb(manifest, manifest.split("train"), cfg)
-    model = harc.train(db, minsup=cfg.minsup, minconf=cfg.minconf, quantization=qm, config=cfg)
+        _err(f"warning: no extraction record at {record}; the model records "
+             "the extraction settings of --config or the defaults")
+        extraction = cfg
+    qm = _load_quantization(args.tdb, args.quant)
+    model = harc.train(db, minsup=cfg.minsup, minconf=cfg.minconf, quantization=qm, config=extraction)
     Path(args.output).write_bytes(harc.model_to_json(model))
-    return EXIT_PARTIAL if failed else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_classify(args) -> int:
@@ -181,11 +192,8 @@ def cmd_classify(args) -> int:
     except harc.ModelError as exc:
         _err(str(exc))
         return EXIT_MODEL
-    if cfg is not None:
-        differ = [k for k in EXTRACTION_KEYS if getattr(cfg, k) != getattr(model.config, k)]
-        if differ:
-            _err(f"config {args.config} and model {args.model} disagree on {', '.join(differ)}")
-            return EXIT_MODEL
+    if cfg is not None and _disagree(cfg, args.config, model.config, f"model {args.model}"):
+        return EXIT_MODEL
     if not args.tdb and not model.quantization.ranges:
         _err(f"model {args.model} has no quantization: it classifies transactions, not images")
         return EXIT_MODEL
@@ -311,13 +319,11 @@ def build_parser():
     _add_settings(p, ("minsup", "minconf"))
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("train", help="train the hybrid classifier and record its extraction config")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--tdb")
-    src.add_argument("--manifest")
-    p.add_argument("--quant", help="quantization JSON (with --tdb)")
+    p = sub.add_parser("train", help="train the hybrid classifier on a TDB that features wrote")
+    p.add_argument("--tdb", required=True)
+    p.add_argument("--quant", help="quantization JSON; default <tdb>.quant.json")
     p.add_argument("output")
-    _add_settings(p, EXTRACTION_KEYS + ("minsup", "minconf"))
+    _add_settings(p, ("minsup", "minconf"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="classify images or transactions with a model")
@@ -348,10 +354,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "quant", None) is not None and args.manifest:  # train reads it with --tdb only
-        parser.error("argument --quant: not allowed with argument --manifest")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FileNotFoundError, OSError, PgmError) as exc:

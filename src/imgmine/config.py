@@ -85,8 +85,8 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     return cfg
 
 
-def config_to_json(cfg: PipelineConfig) -> str:
-    doc = {name: getattr(cfg, name) for name in PipelineConfig.DEFAULTS}
+def config_to_json(cfg: PipelineConfig, keys=tuple(PipelineConfig.DEFAULTS)) -> str:
+    doc = {name: getattr(cfg, name) for name in keys}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -112,9 +112,6 @@ class Manifest:
 
     def __eq__(self, other):
         return type(other) is Manifest and (self.entries, self.base_dir) == (other.entries, other.base_dir)
-
-    def split(self, which):
-        return [e for e in self.entries if e.split == which]
 
     def resolve(self, entry: ManifestEntry) -> Path:
         return self.base_dir / entry.path

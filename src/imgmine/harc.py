@@ -274,9 +274,9 @@ def model_from_json(data: bytes) -> HarcModel:
             )
             for r in doc["rules"]
         ]
-        bad = [i for r in rules for i in r.antecedent if type(i) is not int or i < 1]
-        if bad:
-            raise ValueError(f"antecedent item {bad[0]!r} is not a positive integer")
+        for items in (list(r.antecedent) for r in rules):  # non-empty and sorted, as train writes them
+            if not (items and all(type(i) is int and i > 0 for i in items) and items == sorted(set(items))):
+                raise ValueError(f"antecedent {items!r} is not an increasing list of positive integers")
         by_antecedent = {r.antecedent: r for r in reversed(rules)}  # the first wins, as in train
         attributes = [
             RuleAttribute(antecedent=tuple(a), rule=by_antecedent[tuple(a)])

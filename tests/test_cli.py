@@ -11,7 +11,13 @@ import pytest
 
 from imgmine import fpm, harc, metrics, pipeline
 from imgmine.cli import build_parser, main
-from imgmine.config import PipelineConfig, read_manifest, write_manifest
+from imgmine.config import (
+    EXTRACTION_KEYS,
+    PipelineConfig,
+    config_to_json,
+    read_manifest,
+    write_manifest,
+)
 from imgmine.prep import GrayImage, equalize
 from imgmine.raster import read_pgm, write_pgm
 from imgmine.segment import (
@@ -162,7 +168,8 @@ def test_malformed_model_exits_4(tmp_path, capsys):
     float_split, bool_split, string_split = (dict(doc, tree=dict(doc["tree"], attribute=a))
                                              for a in (0.5, True, "0"))
     rule_edits = ({"class": "cancer"}, {"support": [True, 2]}, {"confidence": [5, 2]},
-                  {"antecedent": ["x"]})
+                  {"antecedent": ["x"]}, {"antecedent": []}, {"antecedent": [221, 111]},
+                  {"antecedent": [111, 111]})
     bad_rules = [dict(doc, rules=[*doc["rules"], dict(doc["rules"][0], **edit)])
                  for edit in rule_edits]  # an extra rule, so every attribute still finds its own
     assert json.dumps(doc).count('{"benign": 10}') == 1
@@ -269,12 +276,12 @@ def test_each_command_takes_only_the_settings_it_reads():
         "preprocess": {"--config", "--no-equalize"},
         "features": {"--config"} | IMAGE,
         "mine": {"--config"} | MINING,
-        "train": {"--config"} | IMAGE | MINING,
+        "train": {"--config"} | MINING,
         "classify": {"--config"},
         "evaluate": set(),
         "synth": {"--config", "--seed"},
     }
-    assert sum(map(len, flags.values())) == 22
+    assert sum(map(len, flags.values())) == 17
 
 
 def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys):
@@ -284,8 +291,12 @@ def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys):
     for argv, message, output in [
         (["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--sigma", "2"],
          "unrecognized arguments: --sigma 2", tmp_path / "m.csv"),
-        (["train", "--manifest", str(man), "--quant", str(tmp_path / "none.json"),
-          str(tmp_path / "model.json")], "--quant", tmp_path / "model.json"),
+        (["train", "--manifest", str(man), str(tmp_path / "model.json")],
+         "the following arguments are required: --tdb", tmp_path / "model.json"),
+        (["train", "--tdb", str(tdb), "--manifest", str(man), str(tmp_path / "model.json")],
+         "unrecognized arguments: --manifest", tmp_path / "model.json"),
+        (["train", "--tdb", str(tdb), str(tmp_path / "model.json"), "--sigma", "2"],
+         "unrecognized arguments: --sigma 2", tmp_path / "model.json"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -557,7 +568,7 @@ NO_REGION_WARNING = "no training image yields a region, so the quantization is e
 
 
 def test_manifest_without_a_training_region_warns(tmp_path, capsys):
-    """Bytes and exit codes stay as they were; only the warning is new."""
+    """features warns and exits 0; train on its TDB is silent, and its model has no ranges."""
     for i in range(3):
         write_image(tmp_path / f"flat{i}.pgm", np.full((32, 32), 90 + i))
     man = tmp_path / "manifest.csv"
@@ -568,12 +579,13 @@ def test_manifest_without_a_training_region_warns(tmp_path, capsys):
     assert capsys.readouterr().err.count(NO_REGION_WARNING) == 1
     assert (tmp_path / "tdb.csv.quant.json").read_text() == "{}\n"
     assert tdb.read_bytes() == TDB_HEADER + b"flat0.pgm,normal,999\nflat1.pgm,benign,999\nflat2.pgm,,999\n"
-    assert main(["train", "--manifest", str(man), str(model)]) == 0
-    assert capsys.readouterr().err.count(NO_REGION_WARNING) == 1
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 0
+    assert capsys.readouterr().err == ""
+    assert harc.model_from_json(model.read_bytes()).quantization.ranges == {}
     man = make_manifest(tmp_path, n=2)  # two benign blobs
     man.write_text(man.read_text() + "flat0.pgm,normal,train\n")
     assert main(["features", str(man), str(tdb)]) == 0
-    assert main(["train", "--manifest", str(man), str(model)]) == 0
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -583,31 +595,6 @@ def test_features_missing_image_partial(tmp_path):
     out = tmp_path / "tdb.csv"
     assert main(["features", str(man), str(out)]) == 1
     assert len(read_tdb_csv(out.read_bytes()).transactions) == 2
-
-
-# ------------------------------------------------------ train --manifest
-
-
-def test_train_manifest_matches_features_then_train_tdb(tmp_path):
-    corpus = tmp_path / "corpus"
-    assert main(["synth", str(corpus), "--seed", "42"]) == 0
-    man, cfg = str(corpus / "manifest.csv"), str(corpus / "config.json")
-    tdb, via_tdb, direct = tmp_path / "tdb.csv", tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["features", man, str(tdb), "--config", cfg]) == 0
-    assert main(["train", "--tdb", str(tdb), str(via_tdb), "--config", cfg]) == 0
-    assert main(["train", "--manifest", man, str(direct), "--config", cfg]) == 0
-    assert direct.read_bytes() == via_tdb.read_bytes()
-
-
-def test_train_manifest_unreadable_image_partial(tmp_path, capsys):
-    man = make_manifest(tmp_path, n=2)
-    write_image(tmp_path / "dark.pgm", np.full((32, 32), 5))
-    (tmp_path / "broken.pgm").write_bytes(b"P5\n32 32\n255\n")  # no pixel data
-    man.write_text(man.read_text() + "dark.pgm,normal,train\nbroken.pgm,normal,train\n")
-    model = tmp_path / "model.json"
-    assert main(["train", "--manifest", str(man), str(model)]) == 1
-    assert "broken.pgm" in capsys.readouterr().err
-    assert harc.model_from_json(model.read_bytes()).tree is not None
 
 
 def sha256(path):
@@ -707,6 +694,79 @@ def test_classify_config_disagreeing_with_the_model_exits_4(tmp_path, capsys):
     assert not pred.exists()
 
 
+# ------------------------------------------- train reads the extraction record
+
+
+def test_readme_chain_without_config_trains_the_pinned_model(tmp_path, capsys):
+    """features records its extraction settings beside the TDB, and train takes them from
+    there: without --config it writes the pinned model, which classifies the held-out split."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", str(corpus), "--seed", "42"]) == 0
+    man, cfg = str(corpus / "manifest.csv"), corpus / "config.json"
+    tdb, model, pred = tmp_path / "tdb.csv", tmp_path / "model.json", tmp_path / "pred.csv"
+    assert main(["features", man, str(tdb), "--config", str(cfg)]) == 0
+    settings = {k: v for k, v in json.loads(cfg.read_text()).items() if k in EXTRACTION_KEYS}
+    record = json.dumps(settings, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "tdb.csv.config.json").read_text() == record
+    capsys.readouterr()
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sha256(model) == README_DIGESTS["model.json"]
+    assert main(["classify", str(model), "--manifest", man, str(pred)]) == 0
+    assert main(["evaluate", str(pred), man, "--split", "test"]) == 0
+    out = capsys.readouterr().out
+    assert "accuracy: 100.0%" in out and "specificity: 100.0%" in out
+
+
+@pytest.mark.parametrize("doc, differ", [
+    ('{"sigma": 2.0, "canny_low": 5.0, "canny_high": 9.0, "equalize": false}', "sigma"),
+    ('{"minsup": 0.1}', "canny_low, canny_high, equalize"),  # defaults fill absent keys
+], ids=["sigma", "defaults"])
+def test_train_config_disagreeing_with_the_record_exits_4(tmp_path, capsys, doc, differ):
+    readme_chain_model(tmp_path)
+    tdb, other, model = tmp_path / "tdb.csv", tmp_path / "other.json", tmp_path / "m2.json"
+    other.write_text(doc)
+    capsys.readouterr()
+    assert main(["train", "--tdb", str(tdb), str(model), "--config", str(other)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"imgmine: config {other} and record {tdb}.config.json disagree on {differ}\n"
+    assert not model.exists()
+
+
+def test_train_tdb_without_a_record_warns(tmp_path, capsys):
+    """A TDB that features did not write: train warns, records --config's extraction settings
+    or the defaults, and writes the model it wrote before records existed."""
+    tdb, model = tmp_path / "t.csv", tmp_path / "model.json"
+    tdb.write_bytes(dense_labeled_tdb())
+    (tmp_path / "t.csv.quant.json").write_text("{}")
+    assert main(["train", "--tdb", str(tdb), str(model), "--minsup", "0.1", "--minconf", "0.6"]) == 0
+    assert capsys.readouterr().err == (
+        f"imgmine: warning: no extraction record at {tdb}.config.json; the model records "
+        "the extraction settings of --config or the defaults\n")
+    # as test_dense_tdb_mining_artifact_digests pins it
+    assert sha256(model) == "cc9e1afa1d331be2ff44c45f3acca82ba9435fd41112ea1ad18a8ef17e4a4660"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sigma": 2.0, "min_area": 9}')
+    assert main(["train", "--tdb", str(tdb), str(model), "--config", str(cfg)]) == 0
+    assert "no extraction record" in capsys.readouterr().err
+    config = harc.model_from_json(model.read_bytes()).config
+    assert (config.sigma, config.min_area, config.equalize) == (2.0, 9, True)
+
+
+@pytest.mark.parametrize(
+    "record", ['{"sigma": 0}', '{"sigma": "1.4"}', '{"canny_low": 5.0}', '{"bogus": 1}', "[]",
+               "{", "[" * 100_000, "\udcff"],
+    ids=["zero-sigma", "string", "one-threshold", "unknown-key", "list", "truncated",
+         "deeply-nested", "not-utf8"],
+)
+def test_malformed_record_exits_3(tmp_path, record):
+    tdb, model = tmp_path / "t.csv", tmp_path / "model.json"
+    tdb.write_bytes(labeled_tdb())
+    (tmp_path / "t.csv.config.json").write_bytes(record.encode("utf-8", "surrogateescape"))
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 3
+    assert not model.exists()
+
+
 def test_dense_tdb_mining_artifact_digests(tmp_path):
     """MFI, rules and model bytes of a dense 150-row TDB at minsup 0.10, minconf 0.6."""
     tdb = tmp_path / "t.csv"
@@ -769,6 +829,7 @@ def test_mine_labeled_tdb_writes_rules(tmp_path):
 def test_train_tdb_without_quantization_warns(tmp_path, capsys):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(labeled_tdb())
+    (tmp_path / "t.csv.config.json").write_text(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
     model = tmp_path / "model.json"
     assert main(["train", "--tdb", str(tdb), str(model)]) == 0
     err = capsys.readouterr().err
@@ -843,15 +904,17 @@ STARTUP = {
 @pytest.fixture(scope="module")
 def startup_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("startup")
+    make_manifest(d, n=2)
+    assert main(["features", str(d / "manifest.csv"), str(d / "blobs.csv")]) == 0
     (d / "t.csv").write_bytes(labeled_tdb())
     (d / "t.csv.quant.json").write_text(json.dumps(full_quantization()))
+    (d / "blobs.csv.config.json").rename(d / "t.csv.config.json")  # as features writes it
     assert main(["train", "--tdb", str(d / "t.csv"), str(d / "model.json")]) == 0
     assert main(["classify", str(d / "model.json"), "--tdb", str(d / "t.csv"), str(d / "pred.csv")]) == 0
     tids = [t.tid for t in read_tdb_csv((d / "t.csv").read_bytes()).transactions]
     (d / "tids.csv").write_text(
         "path,label,split\n" + "".join(f"{t},{t.rstrip('0123456789')},test\n" for t in tids)
     )
-    make_manifest(d, n=2)
     return d
 
 
@@ -860,6 +923,7 @@ def test_each_command_child_loads_only_its_layers(startup_inputs, command):
     argv, unloaded, loaded = STARTUP[command]
     proc = cli_child([a.format(d=startup_inputs) for a in argv], program=("-c", STARTUP_PROBE))
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # so train --tdb found its extraction record
     child = json.loads(proc.stdout.splitlines()[-1])
     assert child["code"] == 0, proc.stderr
     modules = set(child["modules"])
@@ -916,8 +980,9 @@ def test_classify_manifest_unreadable_image_partial(tmp_path, capsys):
     man = make_manifest(tmp_path, n=2)
     write_image(tmp_path / "dark.pgm", np.full((32, 32), 5))
     man.write_text(man.read_text() + "dark.pgm,normal,train\n")
-    model = tmp_path / "model.json"
-    assert main(["train", "--manifest", str(man), str(model)]) == 0
+    tdb, model = tmp_path / "tdb.csv", tmp_path / "model.json"
+    assert main(["features", str(man), str(tdb)]) == 0
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 0
     (tmp_path / "broken.pgm").write_bytes(b"P5\n32 32\n255\n")  # no pixel data
     # a path the OS rejects (a NUL byte) is skipped too, as features skips it
     man.write_text(man.read_text() + "ghost.pgm,normal,test\nbroken.pgm,benign,test\n"

@@ -1,6 +1,7 @@
-"""Fuzz the five input readers through main(): PGM bytes, TDB and manifest text,
-model and config JSON. Every run ends in a documented exit code (0-4), never a
-traceback. Raw bytes and mutated valid documents are both tried.
+"""Fuzz the input readers through main(): PGM bytes, TDB and manifest text, model
+and config JSON, and the two files features writes beside a TDB (its quantization
+and its extraction record). Every run ends in a documented exit code (0-4), never
+a traceback. Raw bytes and mutated valid documents are both tried.
 
 Examples are derandomized and no example database is kept, so the suite is
 deterministic. Hypothesis keeps its other caches (the constants it reads from
@@ -80,13 +81,20 @@ def workdir():
     return tmp, d
 
 
+SIDECARS = (".quant.json", ".config.json")
+
+
 @functools.cache
-def model_json():
-    """A valid model, trained on the three images."""
+def features_outputs():
+    """features over the three images, then train on its TDB: the texts of the model and
+    of the two files beside the TDB, keyed "model" and by their suffixes."""
     tmp, d = workdir()
     with tmp:
-        assert main(["train", "--manifest", str(d / "manifest.csv"), str(d / "m.json")]) == 0
-        return (d / "m.json").read_text()
+        assert main(["features", str(d / "manifest.csv"), str(d / "f.csv")]) == 0
+        assert main(["train", "--tdb", str(d / "f.csv"), str(d / "m.json")]) == 0
+        return {"model": (d / "m.json").read_text(),
+                **{suffix: (d / f"f.csv{suffix}").read_text() for suffix in SIDECARS}}
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.sampled_from([0, 1, -1, 2, 25, 10**400, 0.5, 1e300])
@@ -98,9 +106,9 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
-def mutated_model(draw):
-    """The valid model with a few values replaced by arbitrary JSON or keys deleted."""
-    doc = json.loads(model_json())
+def mutated_json(draw, source):
+    """The valid document source() with a few values replaced by arbitrary JSON or keys deleted."""
+    doc = json.loads(source())
     for _ in range(draw(st.integers(1, 3))):
         parent, key = doc, draw(st.sampled_from(sorted(doc)))
         while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
@@ -174,7 +182,7 @@ TDB_TEXT = (
 def test_fuzz_tdb(text, as_latin1):
     tmp, d = workdir()
     with tmp:
-        (d / "model.json").write_text(model_json())
+        (d / "model.json").write_text(features_outputs()["model"])
         (d / "x.csv").write_bytes(text.encode("latin-1" if as_latin1 else "utf-8", "replace"))
         run("mine", d / "x.csv", "--mfi", d / "mfi.csv", "--rules", d / "rules.csv")
         run("train", "--tdb", d / "x.csv", d / "m.json")
@@ -199,17 +207,18 @@ MANIFEST_TEXT = (
 def test_fuzz_manifest(text):
     tmp, d = workdir()
     with tmp:
-        (d / "model.json").write_text(model_json())
+        (d / "model.json").write_text(features_outputs()["model"])
         (d / "pred.csv").write_text("path,predicted,fired_rule_count\na.pgm,benign,1\nc.pgm,normal,0\n")
         (d / "x.csv").write_text(text)
         run("features", d / "x.csv", d / "tdb.out")
-        run("train", "--manifest", d / "x.csv", d / "m.json")
+        run("train", "--tdb", d / "tdb.out", d / "m.json")
         run("classify", d / "model.json", "--manifest", d / "x.csv", d / "p.csv")
         run("evaluate", d / "pred.csv", d / "x.csv")
 
 
 @FUZZ
-@given(mutated_model() | TEXT | st.binary(max_size=60).map(lambda b: b.decode("latin-1")))
+@given(mutated_json(lambda: features_outputs()["model"]) | TEXT
+       | st.binary(max_size=60).map(lambda b: b.decode("latin-1")))
 def test_fuzz_model(text):
     tmp, d = workdir()
     with tmp:
@@ -242,3 +251,36 @@ def test_fuzz_config(text):
         run("features", d / "manifest.csv", d / "tdb.out", "--config", d / "cfg.json")
         run("mine", d / "tdb.csv", "--mfi", d / "mfi.csv", "--rules", d / "r.csv",
             "--config", d / "cfg.json")
+
+
+def mutated_sidecar(suffix):
+    """The file features wrote with that suffix, as JSON with values replaced or keys
+    deleted, or as bytes with some overwritten, inserted or cut off; or any text."""
+    return (
+        mutated_json(lambda: features_outputs()[suffix]).map(str.encode)
+        | st.deferred(lambda: mutated_bytes(features_outputs()[suffix].encode()))
+        | TEXT.map(str.encode)
+    )
+
+
+def train_beside(suffix, data):
+    """train without --config on the valid TDB, with both files beside it and the one
+    named by suffix replaced by data: it trains (exit 0) or rejects that file (exit 3)."""
+    tmp, d = workdir()
+    with tmp:
+        for name in SIDECARS:
+            (d / f"tdb.csv{name}").write_text(features_outputs()[name])
+        (d / f"tdb.csv{suffix}").write_bytes(data)
+        assert run("train", "--tdb", d / "tdb.csv", d / "m.json") in (0, 3)
+
+
+@FUZZ
+@given(mutated_sidecar(".quant.json"))
+def test_fuzz_quantization(data):
+    train_beside(".quant.json", data)
+
+
+@FUZZ
+@given(mutated_sidecar(".config.json"))
+def test_fuzz_extraction_record(data):
+    train_beside(".config.json", data)

@@ -81,18 +81,19 @@ def test_image_commands_match_a_one_cpu_run(tmp_path, capsys, cpus, forks):
     man = skip_manifest(tmp_path)
     tdb, model, pred = tmp_path / "tdb.csv", tmp_path / "model.json", tmp_path / "pred.csv"
     commands = [
-        (["features", str(man), str(tdb)], [tdb, tmp_path / "tdb.csv.quant.json"]),
-        (["train", "--manifest", str(man), str(model)], [model]),
+        (["features", str(man), str(tdb)],
+         [tdb, tmp_path / "tdb.csv.quant.json", tmp_path / "tdb.csv.config.json"]),
+        (["train", "--tdb", str(tdb), str(model)], [model]),
         (["classify", str(model), "--manifest", str(man), str(pred)], [pred]),
     ]
     runs = {}
     for n in (1, 2):
         cpus(n)
         runs[n] = [run(capsys, argv, outputs) for argv, outputs in commands]
-        assert len(forks) == (0 if n == 1 else len(commands))  # one helper a command
+        assert len(forks) == (0 if n == 1 else 2)  # one helper an image command
     assert runs[2] == runs[1]
-    assert [rc for rc, _, _ in runs[2]] == [1, 1, 1]
-    for _, err, _ in runs[2]:
+    assert [rc for rc, _, _ in runs[2]] == [1, 0, 1]
+    for _, err, _ in runs[2][::2]:  # features and classify
         skipped = [line.split(":")[1].strip() for line in err.splitlines()]
         assert skipped[:4] == list(UNREADABLE.values())
     assert_reaped(forks)
@@ -157,7 +158,8 @@ def test_an_uncaught_error_is_raised_in_manifest_order(tmp_path, capsys, cpus, f
                                                        monkeypatch, argv):
     man = skip_manifest(tmp_path)
     cpus(1)
-    assert main(["train", "--manifest", str(man), str(tmp_path / "model.json")]) == 1
+    assert main(["features", str(man), str(tmp_path / "tdb.csv")]) == 1
+    assert main(["train", "--tdb", str(tmp_path / "tdb.csv"), str(tmp_path / "model.json")]) == 0
     capsys.readouterr()
     argv = [a.format(man=man, tmp=tmp_path) for a in argv]
     # img31.pgm (an odd row) is the helper's, img34.pgm (an even row) this process's.
