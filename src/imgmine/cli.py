@@ -6,7 +6,6 @@ import argparse
 import csv
 import gc
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -39,11 +38,16 @@ def _err(msg):
     print(f"imgmine: {msg}", file=sys.stderr)
 
 
-def _read_image(path) -> GrayImage:
+def _read_image(path):
     try:
         return read_pgm(Path(path).read_bytes())
     except FileNotFoundError:
         raise FileNotFoundError(f"no such input: {path}") from None
+
+
+def _sidecar(tdb, kind):
+    """<tdb>.quant.json or <tdb>.config.json: what features writes beside a TDB."""
+    return Path(f"{tdb}.{kind}.json")
 
 
 def _config_from_args(args):
@@ -113,11 +117,9 @@ def cmd_features(args) -> int:
         )
         for entry, fvs in per_image
     ]
-    out = Path(args.output)
-    out.write_bytes(write_tdb_csv(TransactionDB(transactions=transactions)))
-    quant_path = Path(args.quant_out) if args.quant_out else Path(str(out) + ".quant.json")
-    quant_path.write_text(json.dumps(qm.to_dict(), indent=2, sort_keys=True) + "\n")
-    Path(str(out) + ".config.json").write_text(config_to_json(cfg, EXTRACTION_KEYS))
+    Path(args.output).write_bytes(write_tdb_csv(TransactionDB(transactions=transactions)))
+    _sidecar(args.output, "quant").write_text(json.dumps(qm.to_dict(), indent=2, sort_keys=True) + "\n")
+    _sidecar(args.output, "config").write_text(config_to_json(cfg, EXTRACTION_KEYS))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -136,18 +138,15 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def _load_quantization(tdb_path, explicit):
-    path = Path(explicit) if explicit else Path(str(tdb_path) + ".quant.json")
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except RecursionError as exc:
-            raise ValueError(f"bad quantization JSON in {path}: {exc}") from None
-        return QuantizationModel.from_dict(doc)
-    if explicit:
-        raise FileNotFoundError(f"no such quantization: {explicit}")
-    _err(f"warning: no quantization at {path}; the model classifies transactions but not images")
-    return QuantizationModel()
+def _load_quantization(tdb_path):
+    path = _sidecar(tdb_path, "quant")
+    if not path.exists():
+        _err(f"warning: no quantization at {path}; the model classifies transactions but not images")
+        return QuantizationModel()
+    try:
+        return QuantizationModel.from_dict(json.loads(path.read_text()))
+    except RecursionError as exc:
+        raise ValueError(f"bad quantization JSON in {path}: {exc}") from None
 
 
 def _disagree(cfg, cfg_path, recorded, source):
@@ -165,7 +164,7 @@ def cmd_train(args) -> int:
 
     cfg = _config_from_args(args)
     db = read_tdb_csv(Path(args.tdb).read_bytes())
-    record = Path(str(args.tdb) + ".config.json")
+    record = _sidecar(args.tdb, "config")
     if record.exists():
         extraction = load_config(record)
         if args.config and _disagree(cfg, args.config, extraction, f"record {record}"):
@@ -174,7 +173,7 @@ def cmd_train(args) -> int:
         _err(f"warning: no extraction record at {record}; the model records "
              "the extraction settings of --config or the defaults")
         extraction = cfg
-    qm = _load_quantization(args.tdb, args.quant)
+    qm = _load_quantization(args.tdb)
     model = harc.train(db, minsup=cfg.minsup, minconf=cfg.minconf, quantization=qm, config=extraction)
     Path(args.output).write_bytes(harc.model_to_json(model))
     return EXIT_OK
@@ -263,23 +262,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _config_from_args(args)
-    per_class, frac = args.per_class, args.train_frac
-    if not math.isfinite(frac):
-        raise ConfigError(f"--train-frac must be finite, got {frac}")
-    if per_class < 2:
-        raise ConfigError(f"--per-class must be at least 2, one image for each split, got {per_class}")
-    try:
-        n_train = round(per_class * frac)  # as synth.generate_corpus splits
-    except OverflowError:
-        raise ConfigError(f"--per-class {per_class} is beyond a float") from None
-    if not 1 <= n_train < per_class:
-        raise ConfigError(f"--train-frac {frac} puts {n_train} of each class's {per_class} images "
-                          "in the train split; each split needs at least one")
+    if not 2 <= args.per_class <= sys.float_info.max:  # synth.generate_corpus splits it as a float
+        raise ConfigError(f"--per-class must be at least 2, one image for each split, and fit a float, "
+                          f"got {args.per_class}")
     from . import synth
 
-    synth.generate_corpus(
-        args.out_dir, seed=cfg.seed, per_class=args.per_class, train_frac=args.train_frac
-    )
+    synth.generate_corpus(args.out_dir, seed=cfg.seed, per_class=args.per_class)
     return EXIT_OK
 
 
@@ -287,11 +275,11 @@ def _add_settings(p, keys):
     """--config plus a flag for each setting this command reads; flags override the file."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     for key in keys:
-        default, flag = PipelineConfig.DEFAULTS[key], key.replace("_", "-")
-        if default is True:  # a setting that is on by default has a flag that turns it off
-            p.add_argument(f"--no-{flag}", dest=key, action="store_false", default=None)
+        default, flag = PipelineConfig.DEFAULTS[key], PipelineConfig.FLAGS[key]
+        if default is True:
+            p.add_argument(flag, dest=key, action="store_false", default=None)
         else:
-            p.add_argument(f"--{flag}", type=float if default is None else type(default))
+            p.add_argument(flag, type=float if default is None else type(default))
 
 
 def build_parser():
@@ -308,7 +296,6 @@ def build_parser():
     p = sub.add_parser("features", help="manifest -> transaction database CSV")
     p.add_argument("manifest")
     p.add_argument("output")
-    p.add_argument("--quant-out", help="where to write learned quantization ranges")
     _add_settings(p, EXTRACTION_KEYS)
     p.set_defaults(func=cmd_features)
 
@@ -321,7 +308,6 @@ def build_parser():
 
     p = sub.add_parser("train", help="train the hybrid classifier on a TDB that features wrote")
     p.add_argument("--tdb", required=True)
-    p.add_argument("--quant", help="quantization JSON; default <tdb>.quant.json")
     p.add_argument("output")
     _add_settings(p, ("minsup", "minconf"))
     p.set_defaults(func=cmd_train)
@@ -346,7 +332,6 @@ def build_parser():
     p = sub.add_parser("synth", help="generate the seeded synthetic corpus")
     p.add_argument("out_dir")
     p.add_argument("--per-class", type=int, default=20)
-    p.add_argument("--train-frac", type=float, default=0.7)
     _add_settings(p, ("seed",))
     p.set_defaults(func=cmd_synth)
 

@@ -31,6 +31,9 @@ class PipelineConfig:
     # thresholds; when unset, each image uses 0.1 / 0.25 of its own maximum gradient magnitude.
     DEFAULTS = {"sigma": 1.4, "canny_low": None, "canny_high": None, "min_area": 25,
                 "minsup": 0.10, "minconf": 0.97, "equalize": True, "seed": 42}
+    # The CLI flag that overrides each; a setting that is on by default has a flag that turns it off.
+    FLAGS = {key: ("--no-" if default is True else "--") + key.replace("_", "-")
+             for key, default in DEFAULTS.items()}
     __slots__ = tuple(DEFAULTS)
 
     def __init__(self, **values):
@@ -69,7 +72,8 @@ class PipelineConfig:
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
-    """Config file (flat JSON keys) with CLI overrides layered on top."""
+    """Config file (flat JSON keys) with CLI overrides layered on top; a bad value's error
+    names the file, or the flags that override it."""
     values = {}
     if path is not None:
         try:
@@ -79,9 +83,14 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} is not a JSON object")
         values.update(doc)
-    cfg = PipelineConfig(**values)  # the file is checked on its own before a flag overrides it
-    if overrides:
-        cfg = PipelineConfig(**values | overrides)
+    source = f"config {path}"
+    try:
+        cfg = PipelineConfig(**values)  # the file is checked on its own before a flag overrides it
+        if overrides:
+            source = ", ".join(PipelineConfig.FLAGS[key] for key in overrides)
+            cfg = PipelineConfig(**values | overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
     return cfg
 
 

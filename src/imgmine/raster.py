@@ -27,7 +27,7 @@ def _next_token(data: bytes, pos: int):
     return data[start:pos], pos
 
 
-def read_pgm(data: bytes) -> GrayImage:
+def read_pgm(data: bytes):
     """Parse a binary PGM (P5, maxval <= 255) into a GrayImage, values rescaled to 0..255
     (v * 255 / maxval, rounded half up)."""
     import numpy as np
@@ -59,7 +59,7 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(a.reshape(height, width))
 
 
-def write_pgm(img: GrayImage) -> bytes:
-    """Serialize to canonical binary PGM: 'P5\\n<w> <h>\\n255\\n' + row-major bytes."""
+def write_pgm(img) -> bytes:
+    """Serialize a GrayImage to canonical binary PGM: 'P5\\n<w> <h>\\n255\\n' + row-major bytes."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + img.pixels.tobytes()

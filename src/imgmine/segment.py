@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from typing import NamedTuple, Optional
 
 # numpy and prep are imported inside the pixel functions below (extract_regions,
@@ -35,7 +36,7 @@ class TdbError(ValueError):
 class Region(NamedTuple):
     """8-connected pixel component; coords is an (n, 2) array of (y, x) in raster order."""
 
-    coords: np.ndarray
+    coords: object  # a numpy array; see the note on numpy above
     bbox: tuple  # (ymin, xmin, ymax, xmax)
 
     @property
@@ -59,9 +60,11 @@ class Transaction:
     __slots__ = ("tid", "items", "label")
 
     def __init__(self, tid: str, items, label: Optional[str] = None):
-        items = tuple(sorted(set(int(i) for i in items)))
-        if any(i <= 0 for i in items):
+        items = tuple(items)  # Python or numpy integers; never a bool, a float or a str
+        if not all((type(i) is int or isinstance(i, numbers.Integral) and not isinstance(i, bool)) and i > 0
+                   for i in items):  # type() first: the ABC check costs several times more
             raise ValueError("items must be positive integers")
+        items = tuple(sorted(set(map(int, items))))
         if label is not None and label not in CLASSES:
             raise ValueError(f"unknown class label {label!r}")
         self.tid, self.items, self.label = tid, items, label
@@ -87,8 +90,8 @@ class TransactionDB:
         return len(self.transactions)
 
 
-def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
-    """Close gaps (one 3x3 dilation), fill holes, label 8-connected components.
+def extract_regions(edges, img, min_area: int = 25):
+    """Close gaps (one 3x3 dilation), fill holes, label 8-connected components of an EdgeMap.
 
     Components smaller than min_area are dropped; the result is ordered by
     (bounding-box top-left corner, area) so extraction is deterministic.
@@ -122,8 +125,8 @@ def extract_regions(edges: EdgeMap, img: GrayImage, min_area: int = 25):
     return per_plane if edges.bits.ndim > 2 else per_plane[0]
 
 
-def glcm_features(img: GrayImage, region: Region) -> FeatureVector:
-    """Area, mean intensity and four co-occurrence statistics for one region.
+def glcm_features(img, region: Region) -> FeatureVector:
+    """Area, mean intensity and four co-occurrence statistics for one region of a GrayImage.
 
     Intensities are quantized to 8 levels; the co-occurrence matrix is the
     symmetric horizontal-offset matrix over in-region pixel pairs.

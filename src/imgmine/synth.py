@@ -19,6 +19,7 @@ from .raster import write_pgm
 from .segment import CLASSES
 
 IMAGE_SIZE = 64
+TRAIN_FRAC = 0.7  # each class's first round(per_class * TRAIN_FRAC) images train, the rest test
 
 
 @lru_cache(maxsize=8)
@@ -80,12 +81,12 @@ def corpus_config(seed: int) -> PipelineConfig:
     return PipelineConfig(canny_low=5.0, canny_high=9.0, equalize=False, seed=seed)
 
 
-def generate_corpus(out_dir, seed: int = 42, per_class: int = 20, train_frac: float = 0.7):
+def generate_corpus(out_dir, seed: int = 42, per_class: int = 20):
     """Write PGMs, manifest.csv and a tuned config.json; fully seed-determined."""
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    n_train = int(round(per_class * train_frac))
+    n_train = round(per_class * TRAIN_FRAC)
     entries = []
     for label in CLASSES:
         for idx in range(per_class):

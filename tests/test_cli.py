@@ -266,6 +266,26 @@ IMAGE = {"--sigma", "--canny-low", "--canny-high", "--min-area", "--no-equalize"
 MINING = {"--minsup", "--minconf"}
 
 
+def test_a_config_value_error_names_its_source(tmp_path, capsys):
+    """The same bad sigma from the record beside a TDB, from --config and from --sigma."""
+    tdb, model = tmp_path / "t.csv", tmp_path / "model.json"
+    tdb.write_bytes(labeled_tdb())
+    record, cfg = tmp_path / "t.csv.config.json", tmp_path / "cfg.json"
+    record.write_text('{"sigma": 0}')
+    cfg.write_text('{"sigma": 0}')
+    man, out = make_manifest(tmp_path, n=2), tmp_path / "f.csv"
+    errors = []
+    for argv in (["train", "--tdb", str(tdb), str(model)],
+                 ["features", str(man), str(out), "--config", str(cfg)],
+                 ["features", str(man), str(out), "--sigma", "0"]):
+        assert main(argv) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"imgmine: config {record}: sigma must lie in (0, 100]\n",
+                      f"imgmine: config {cfg}: sigma must lie in (0, 100]\n",
+                      "imgmine: --sigma: sigma must lie in (0, 100]\n"]
+    assert not model.exists() and not out.exists()
+
+
 def test_each_command_takes_only_the_settings_it_reads():
     commands = build_parser()._subparsers._group_actions[0].choices
     flags = {
@@ -284,10 +304,32 @@ def test_each_command_takes_only_the_settings_it_reads():
     assert sum(map(len, flags.values())) == 17
 
 
+def test_each_command_takes_exactly_these_arguments():
+    """Every argument of every command, positional or not, in the order --help lists it."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    arguments = {
+        name: ["/".join(action.option_strings) or action.dest for action in p._actions
+               if action.dest != "help"]
+        for name, p in commands.items()
+    }
+    assert arguments == {
+        "preprocess": ["input", "output", "--dump-dir", "--config", "--no-equalize"],
+        "features": ["manifest", "output", "--config", "--sigma", "--canny-low", "--canny-high",
+                     "--no-equalize", "--min-area"],
+        "mine": ["tdb", "--mfi", "--rules", "--config", "--minsup", "--minconf"],
+        "train": ["--tdb", "output", "--config", "--minsup", "--minconf"],
+        "classify": ["model", "--manifest", "--image", "--tdb", "output", "--config"],
+        "evaluate": ["predictions", "manifest", "--split", "--output"],
+        "synth": ["out_dir", "--per-class", "--config", "--seed"],
+    }
+    assert sum(map(len, arguments.values())) == 38
+
+
 def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(labeled_tdb())
     man = make_manifest(tmp_path, n=2)
+    inputs = sorted(tmp_path.rglob("*"))
     for argv, message, output in [
         (["mine", str(tdb), "--mfi", str(tmp_path / "m.csv"), "--sigma", "2"],
          "unrecognized arguments: --sigma 2", tmp_path / "m.csv"),
@@ -297,12 +339,19 @@ def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys):
          "unrecognized arguments: --manifest", tmp_path / "model.json"),
         (["train", "--tdb", str(tdb), str(tmp_path / "model.json"), "--sigma", "2"],
          "unrecognized arguments: --sigma 2", tmp_path / "model.json"),
+        (["features", str(man), str(tmp_path / "f.csv"), "--quant-out", str(tmp_path / "q.json")],
+         "unrecognized arguments: --quant-out", tmp_path / "f.csv"),
+        (["train", "--tdb", str(tdb), str(tmp_path / "model.json"), "--quant", str(tmp_path / "q.json")],
+         "unrecognized arguments: --quant", tmp_path / "model.json"),
+        (["synth", str(tmp_path / "corpus"), "--train-frac", "0.5"],
+         "unrecognized arguments: --train-frac 0.5", tmp_path / "corpus"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not output.exists()
+        assert sorted(tmp_path.rglob("*")) == inputs
 
 
 def test_evaluate_unknown_predicted_label_exits_3(tmp_path):
@@ -361,19 +410,9 @@ def test_evaluate_undefined_measure_exits_3(tmp_path, capsys):
 def test_malformed_quantization_exits_3(tmp_path, quant):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(labeled_tdb())
-    (tmp_path / "q.json").write_text(quant)
+    (tmp_path / "t.csv.quant.json").write_text(quant)
     model = tmp_path / "model.json"
-    assert main(["train", "--tdb", str(tdb), str(model), "--quant", str(tmp_path / "q.json")]) == 3
-    assert not model.exists()
-
-
-def test_missing_explicit_quantization_exits_2(tmp_path, capsys):
-    """Only the implicit <tdb>.quant.json may be absent; a named --quant file must exist."""
-    tdb = tmp_path / "t.csv"
-    tdb.write_bytes(labeled_tdb())
-    model, nope = tmp_path / "model.json", tmp_path / "nope.json"
-    assert main(["train", "--tdb", str(tdb), str(model), "--quant", str(nope)]) == 2
-    assert f"no such quantization: {nope}" in capsys.readouterr().err
+    assert main(["train", "--tdb", str(tdb), str(model)]) == 3
     assert not model.exists()
 
 
@@ -1021,17 +1060,11 @@ def test_synth_writes_corpus(tmp_path):
 
 
 @pytest.mark.parametrize("flags, flag", [
-    (["--train-frac", "nan"], "--train-frac"),
-    (["--train-frac", "inf"], "--train-frac"),
-    (["--train-frac", "2"], "--train-frac"),
-    (["--train-frac", "0"], "--train-frac"),
-    (["--per-class", "2", "--train-frac", "0.2"], "--train-frac"),
-    (["--per-class", "2", "--train-frac", "0.8"], "--train-frac"),
     (["--per-class", "1"], "--per-class"),
     (["--per-class", "0"], "--per-class"),
     (["--per-class", "-1"], "--per-class"),
     (["--per-class", "9" * 400], "--per-class"),
-])
+], ids=[f"flags{i}---per-class" for i in range(6, 10)])  # stable ids: runs are compared by test id
 def test_synth_settings_that_leave_a_split_empty_exit_3(tmp_path, capsys, flags, flag):
     out = tmp_path / "corpus"
     assert main(["synth", str(out), *flags]) == 3

@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in that module, and every
-top-level function or class of the package is used by some module of it."""
+"""Every name a module of the package imports is used in that module, every
+top-level function or class of the package is used by some module of it, and
+every annotation names something its module binds."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "imgmine"
@@ -158,3 +162,33 @@ def test_numpy_is_imported_in_a_function_only_where_every_command_loads_the_modu
     found = sorted(f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
                    for name in local_numpy_imports(ast.parse(path.read_text(), filename=str(path))))
     assert found == LOCAL_NUMPY
+
+
+def annotated(module):
+    """("name", object) of each function and class defined in a module, and of each
+    method, class method and property of those classes."""
+    for name, obj in vars(module).items():
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__:
+            yield name, obj
+            for attr, member in vars(obj).items() if inspect.isclass(obj) else ():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_annotated_objects_detected():
+    found = dict(annotated(importlib.import_module("imgmine.segment")))
+    assert {"Region", "Region.area", "extract_regions", "QuantizationModel.fit",
+            "Transaction.__init__"} <= set(found)
+    assert "NamedTuple" not in found and "Optional" not in found
+
+
+def test_every_annotation_resolves():
+    unresolved = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, obj in annotated(importlib.import_module(f"imgmine.{path.stem}")):
+            try:
+                typing.get_type_hints(obj)
+            except (NameError, TypeError) as exc:
+                unresolved.append(f"{path.stem}.{name}: {exc}")
+    assert unresolved == []

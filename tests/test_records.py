@@ -69,6 +69,11 @@ def test_record_equals_an_equal_copy_and_differs_from_another(name):
 
 @pytest.mark.parametrize("make, error, message", [
     (lambda: Transaction("t", (3, 0)), ValueError, "items must be positive integers"),
+    (lambda: Transaction("t", [1.7, 2.2, True]), ValueError, "items must be positive integers"),
+    (lambda: Transaction("t", (3, 2.0)), ValueError, "items must be positive integers"),
+    (lambda: Transaction("t", (True,)), ValueError, "items must be positive integers"),
+    (lambda: Transaction("t", (np.True_,)), ValueError, "items must be positive integers"),
+    (lambda: Transaction("t", ("111",)), ValueError, "items must be positive integers"),
     (lambda: Transaction("t", (3,), "cancer"), ValueError, "unknown class label 'cancer'"),
     (lambda: TransactionDB([Transaction("t", (1,)), Transaction("t", (2,))]), TdbError,
      "duplicate tids in transaction database"),
@@ -82,9 +87,15 @@ def test_record_equals_an_equal_copy_and_differs_from_another(name):
     (lambda: StructuringElement(np.ones((2, 3))), ValueError,
      "structuring element must be 2D with odd dimensions"),
     (lambda: StructuringElement(HOLLOW), ValueError, "structuring element origin must be a member"),
-], ids=["zero-item", "unknown-label", "duplicate-tid", "duplicate-path", "unknown-split",
-        "config-type", "config-pairing", "config-key", "negative-count", "even-probe", "hollow-probe"])
+], ids=["zero-item", "mixed-items", "float-item", "bool-item", "numpy-bool-item", "str-item",
+        "unknown-label", "duplicate-tid", "duplicate-path", "unknown-split", "config-type",
+        "config-pairing", "config-key", "negative-count", "even-probe", "hollow-probe"])
 def test_record_validation_keeps_its_message(make, error, message):
     with pytest.raises(error) as exc:
         make()
     assert str(exc.value) == message
+
+
+def test_transaction_items_are_python_ints_of_python_or_numpy_integers():
+    t = Transaction("t", [np.int64(3), 2, np.uint8(1), 2])
+    assert t.items == (1, 2, 3) and {type(i) for i in t.items} == {int}
