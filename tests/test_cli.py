@@ -498,6 +498,99 @@ def test_tdb_holding_a_class_code_exits_3(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def _no_labels(tmp_path):
+    tdb, mfi, rules = tmp_path / "t.csv", tmp_path / "m.csv", tmp_path / "r.csv"
+    tdb.write_bytes(TDB_HEADER + b"a,,1;2\nb,,1\n")
+    return (["mine", str(tdb), "--mfi", str(mfi), "--rules", str(rules)], rules,
+            "rules requested but the transaction database has no labels")
+
+
+def _predictions(rows, manifest_rows, message):
+    """evaluate on these predictions and manifest rows; the message may name {pred}."""
+    def case(tmp_path):
+        pred, man, out = tmp_path / "pred.csv", tmp_path / "manifest.csv", tmp_path / "metrics.csv"
+        pred.write_text("path,predicted,fired_rule_count\n" + rows)
+        man.write_text("path,label,split\n" + manifest_rows)
+        return ["evaluate", str(pred), str(man), "--output", str(out)], out, message.format(pred=pred)
+    return case
+
+
+def _classify_tdb(model_bytes, message, config=None):
+    """classify --tdb with a model file of these bytes; the message may name {model} and {cfg}."""
+    def case(tmp_path):
+        tdb, model, pred, cfg = (tmp_path / name for name in ("t.csv", "model.json", "p.csv", "cfg.json"))
+        tdb.write_bytes(labeled_tdb())
+        model.write_bytes(model_bytes())
+        argv = ["classify", str(model), "--tdb", str(tdb), str(pred)]
+        if config is not None:
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        return argv, pred, message.format(model=model, cfg=cfg)
+    return case
+
+
+def _trained_model():
+    return harc.model_to_json(harc.train(read_tdb_csv(labeled_tdb())))
+
+
+def _no_quantization(tmp_path):
+    model, image, pred = tmp_path / "model.json", tmp_path / "blob.pgm", tmp_path / "p.csv"
+    model.write_bytes(_trained_model())
+    write_image(image, blob_image())
+    return (["classify", str(model), "--image", str(image), str(pred)], pred,
+            f"model {model} has no quantization: it classifies transactions, not images")
+
+
+def _train_disagrees(tmp_path):
+    tdb, model, cfg = tmp_path / "t.csv", tmp_path / "model.json", tmp_path / "cfg.json"
+    tdb.write_bytes(labeled_tdb())
+    (tmp_path / "t.csv.quant.json").write_text("{}")
+    (tmp_path / "t.csv.config.json").write_text(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
+    cfg.write_text('{"sigma": 2.0, "min_area": 9}')
+    return (["train", "--tdb", str(tdb), str(model), "--config", str(cfg)], model,
+            f"config {cfg} and record {tdb}.config.json disagree on sigma, min_area")
+
+
+# Each failure a command reports as it stops: (exit code, the case's files), where a case
+# returns (argv, the output it must not write, the one message on stderr).
+STOPS = {
+    "rules-without-labels": (3, _no_labels),
+    "bad-prediction-row": (3, _predictions("a.pgm,normal,0\nb.pgm,cancerous,0\n",
+                                           "a.pgm,normal,test\n", "{pred}:3: bad prediction row")),
+    "short-prediction-row": (3, _predictions("a.pgm,normal\n", "a.pgm,normal,test\n",
+                                             "{pred}:2: bad prediction row")),
+    "path-predicted-twice": (3, _predictions("a.pgm,normal,0\nb.pgm,benign,0\nb.pgm,benign,0\n",
+                                             "a.pgm,normal,test\nb.pgm,benign,test\n",
+                                             "{pred}:4: b.pgm predicted twice")),
+    "no-labeled-predictions": (3, _predictions("a.pgm,normal,0\nb.pgm,benign,0\n", "c.pgm,benign,test\n",
+                                               "no labeled predictions to evaluate")),
+    "unreadable-model": (4, _classify_tdb(lambda: b"not json",
+                                          "unreadable model: Expecting value: line 1 column 1 (char 0)")),
+    "model-version": (4, _classify_tdb(lambda: _trained_model().replace(b"harc-2", b"harc-0"),
+                                       "model version 'harc-0' != harc-2")),
+    "malformed-model": (4, _classify_tdb(lambda: _trained_model().replace(b'"rules"', b'"rulez"'),
+                                         "malformed model: KeyError: 'rules'")),
+    "model-lacks-quantization": (4, _no_quantization),
+    "classify-config-disagrees": (4, _classify_tdb(_trained_model,
+                                                   "config {cfg} and model {model} disagree on sigma",
+                                                   config='{"sigma": 2.0}')),
+    "train-config-disagrees": (4, _train_disagrees),
+}
+
+
+@pytest.mark.parametrize("case", list(STOPS))
+def test_a_command_that_stops_gives_its_exit_code_and_one_message(tmp_path, capsys, case):
+    code, make = STOPS[case]
+    argv, output, message = make(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"imgmine: {message}\n")
+    assert not output.exists()
+    if case == "rules-without-labels":
+        assert (tmp_path / "m.csv").exists()  # the MFI is written before the rules check
+
+
 # --------------------------------------------------------------- preprocess
 
 
