@@ -12,7 +12,8 @@ from pathlib import Path
 # Each command imports only the layers it runs, inside its own body: mine, train,
 # classify --tdb and evaluate never load numpy or a pixel module, mine loads neither harc
 # nor metrics, and evaluate neither fpm nor harc.
-from .config import EXTRACTION_KEYS, ConfigError, PipelineConfig, config_to_json, load_config, read_manifest
+from .config import (EXTRACTION_KEYS, ConfigError, ModelError, PipelineConfig, config_to_json,
+                     load_config, read_manifest)
 from .raster import PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
@@ -132,8 +133,7 @@ def cmd_mine(args) -> int:
     Path(args.mfi).write_bytes(fpm.mfi_to_csv(per_level))
     if args.rules:
         if all(t.label is None for t in db.transactions):
-            _err("rules requested but the transaction database has no labels")
-            return EXIT_SEMANTIC
+            raise ValueError("rules requested but the transaction database has no labels")
         Path(args.rules).write_bytes(fpm.rules_to_csv(rules))
     return EXIT_OK
 
@@ -145,16 +145,15 @@ def _load_quantization(tdb_path):
         return QuantizationModel()
     try:
         return QuantizationModel.from_dict(json.loads(path.read_text()))
-    except RecursionError as exc:
-        raise ValueError(f"bad quantization JSON in {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, or a bad range
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _disagree(cfg, cfg_path, recorded, source):
-    """Whether cfg differs from recorded on an extraction setting; if so, names both."""
+def _check_agreement(cfg, cfg_path, recorded, source):
+    """ModelError, naming both, if cfg differs from recorded on an extraction setting."""
     differ = [k for k in EXTRACTION_KEYS if getattr(cfg, k) != getattr(recorded, k)]
     if differ:
-        _err(f"config {cfg_path} and {source} disagree on {', '.join(differ)}")
-    return bool(differ)
+        raise ModelError(f"config {cfg_path} and {source} disagree on {', '.join(differ)}")
 
 
 def cmd_train(args) -> int:
@@ -167,8 +166,8 @@ def cmd_train(args) -> int:
     record = _sidecar(args.tdb, "config")
     if record.exists():
         extraction = load_config(record)
-        if args.config and _disagree(cfg, args.config, extraction, f"record {record}"):
-            return EXIT_MODEL
+        if args.config:
+            _check_agreement(cfg, args.config, extraction, f"record {record}")
     else:
         _err(f"warning: no extraction record at {record}; the model records "
              "the extraction settings of --config or the defaults")
@@ -188,14 +187,10 @@ def cmd_classify(args) -> int:
         model = harc.model_from_json(Path(args.model).read_bytes())
     except FileNotFoundError:
         raise FileNotFoundError(f"no such model: {args.model}") from None
-    except harc.ModelError as exc:
-        _err(str(exc))
-        return EXIT_MODEL
-    if cfg is not None and _disagree(cfg, args.config, model.config, f"model {args.model}"):
-        return EXIT_MODEL
+    if cfg is not None:
+        _check_agreement(cfg, args.config, model.config, f"model {args.model}")
     if not args.tdb and not model.quantization.ranges:
-        _err(f"model {args.model} has no quantization: it classifies transactions, not images")
-        return EXIT_MODEL
+        raise ModelError(f"model {args.model} has no quantization: it classifies transactions, not images")
     rows = []
     failed = False
     if args.tdb:
@@ -236,12 +231,10 @@ def cmd_evaluate(args) -> int:
         if lineno == 1 and line.startswith("path,"):
             continue
         if len(parts) != 3 or parts[1] not in CLASSES:
-            _err(f"{args.predictions}:{lineno}: bad prediction row")
-            return EXIT_SEMANTIC
+            raise ValueError(f"{args.predictions}:{lineno}: bad prediction row")
         path, predicted = parts[0], parts[1]
         if path in predicted_paths:
-            _err(f"{args.predictions}:{lineno}: {path} predicted twice")
-            return EXIT_SEMANTIC
+            raise ValueError(f"{args.predictions}:{lineno}: {path} predicted twice")
         predicted_paths.add(path)
         if path not in labels:
             continue
@@ -250,8 +243,7 @@ def cmd_evaluate(args) -> int:
             continue
         pairs.append((labels[path], predicted))
     if not pairs:
-        _err("no labeled predictions to evaluate")
-        return EXIT_SEMANTIC
+        raise ValueError("no labeled predictions to evaluate")
     m = metrics.MultiClassMatrix.from_pairs(pairs)
     text, csv = metrics.report(m)
     print(text, end="")
@@ -261,13 +253,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
     if not 2 <= args.per_class <= sys.float_info.max:  # synth.generate_corpus splits it as a float
         raise ConfigError(f"--per-class must be at least 2, one image for each split, and fit a float, "
                           f"got {args.per_class}")
     from . import synth
 
-    synth.generate_corpus(args.out_dir, seed=cfg.seed, per_class=args.per_class)
+    synth.generate_corpus(args.out_dir, seed=args.seed, per_class=args.per_class)
     return EXIT_OK
 
 
@@ -332,19 +323,24 @@ def build_parser():
     p = sub.add_parser("synth", help="generate the seeded synthetic corpus")
     p.add_argument("out_dir")
     p.add_argument("--per-class", type=int, default=20)
-    _add_settings(p, ("seed",))
+    p.add_argument("--seed", type=int, default=PipelineConfig.DEFAULTS["seed"])
     p.set_defaults(func=cmd_synth)
 
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one command. A command returns only EXIT_OK or EXIT_PARTIAL; every other exit
+    code is decided here, from the exception that stopped the command."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, OSError, PgmError) as exc:
+    except (OSError, PgmError) as exc:
         _err(str(exc))
         return EXIT_IO
+    except ModelError as exc:
+        _err(str(exc))
+        return EXIT_MODEL
     except (ValueError, csv.Error) as exc:  # every input error of the package is a ValueError
         _err(str(exc))
         return EXIT_SEMANTIC

@@ -18,6 +18,10 @@ class ManifestError(ValueError):
     pass
 
 
+class ModelError(ValueError):
+    """Model persistence / compatibility failure."""
+
+
 # The settings that turn an image into a transaction. A model records them,
 # so classify extracts exactly as the model's training data was extracted.
 EXTRACTION_KEYS = ("sigma", "canny_low", "canny_high", "equalize", "min_area")
@@ -78,7 +82,7 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     if path is not None:
         try:
             doc = json.loads(Path(path).read_text())
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ConfigError(f"bad config JSON in {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} is not a JSON object")

@@ -8,27 +8,12 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .config import EXTRACTION_KEYS, PipelineConfig
+from .config import EXTRACTION_KEYS, ModelError, PipelineConfig
 from .fpm import AssociationRule, mine_class_rules
 from .segment import CLASSES, QuantizationModel, Transaction, TransactionDB, coarse_item
 
 MODEL_VERSION = "harc-2"
 DEFAULT_ATTRIBUTE_CAP = 64
-
-
-class ModelError(ValueError):
-    """Model persistence / compatibility failure."""
-
-
-class RuleAttribute(NamedTuple):
-    """Boolean test: does the rule's antecedent fall inside a transaction's items?"""
-
-    antecedent: tuple
-    rule: AssociationRule
-
-    def matches(self, items) -> bool:
-        """items: a set or frozenset of item codes."""
-        return items.issuperset(self.antecedent)
 
 
 class Leaf(NamedTuple):
@@ -44,7 +29,7 @@ class Split(NamedTuple):
 
 class HarcModel(NamedTuple):
     rules: list
-    attributes: list
+    attributes: list  # the rules the tree tests, one per antecedent; Split.attribute indexes it
     tree: "Leaf | Split"
     quantization: QuantizationModel
     default_class: str
@@ -72,8 +57,8 @@ def _majority(counts) -> str:
     return max(sorted(counts, key=lambda c: order.get(c, 99)), key=counts.get)
 
 
-def gain(records, attr: RuleAttribute, base=None) -> float:
-    """Information gain of partitioning records by the attribute's truth value.
+def gain(records, rule: AssociationRule, base=None) -> float:
+    """Information gain of partitioning records by whether they hold the rule's antecedent.
 
     base is the records' own entropy, when the caller already holds it.
     """
@@ -83,7 +68,7 @@ def gain(records, attr: RuleAttribute, base=None) -> float:
     # the subtraction order fixes the float result.
     parts = {True: {}, False: {}}
     for items, label in records:
-        counts = parts[attr.matches(items)]
+        counts = parts[items.issuperset(rule.antecedent)]
         counts[label] = counts.get(label, 0) + 1
     g = entropy(_class_counts(records).values()) if base is None else base
     for counts in parts.values():
@@ -115,10 +100,10 @@ def induce_tree(records, attrs, attr_indices=None) -> "Leaf | Split":
             best_idx, best_gain = idx, g
     if best_gain <= 1e-12:
         return Leaf(label=majority, distribution=counts)
-    attr = attrs[best_idx]
+    antecedent = attrs[best_idx].antecedent
     true_part, false_part = [], []
     for record in records:
-        (true_part if attr.matches(record[0]) else false_part).append(record)
+        (true_part if record[0].issuperset(antecedent) else false_part).append(record)
     remaining = [i for i in attr_indices if i != best_idx]
     return Split(attribute=best_idx, on_true=induce_tree(true_part, attrs, remaining),
                  on_false=induce_tree(false_part, attrs, remaining))
@@ -132,14 +117,14 @@ def _augmented_items(t: Transaction):
 
 
 def classify(model: HarcModel, t: Transaction):
-    """Walk the tree; returns (predicted class, list of fired rule attributes)."""
+    """Walk the tree; returns (predicted class, list of the rules that fired)."""
     items = _augmented_items(t)
     fired = []
     node = model.tree
     while isinstance(node, Split):
-        attr = model.attributes[node.attribute]
-        if attr.matches(items):
-            fired.append(attr)
+        rule = model.attributes[node.attribute]
+        if items.issuperset(rule.antecedent):
+            fired.append(rule)
             node = node.on_true
         else:
             node = node.on_false
@@ -154,7 +139,7 @@ def train(
     quantization: Optional[QuantizationModel] = None,
     config: PipelineConfig = PipelineConfig(),
 ) -> HarcModel:
-    """Mine class rules at both hierarchy levels, build rule attributes, induce the tree."""
+    """Mine class rules at both hierarchy levels; induce a tree over the first rule of each antecedent."""
     labeled = [t for t in db.transactions if t.label is not None]
     if not labeled:
         raise ValueError("training requires labeled transactions")
@@ -163,14 +148,10 @@ def train(
         raise ValueError("training requires at least two classes")
     rules, _ = mine_class_rules(db, minsup, minconf)
 
-    attrs = []
-    seen = set()
-    for rule in rules:  # already confidence-sorted; first wins on duplicates
-        if rule.antecedent not in seen:
-            seen.add(rule.antecedent)
-            attrs.append(RuleAttribute(antecedent=rule.antecedent, rule=rule))
-        if len(attrs) >= attribute_cap:
-            break
+    firsts = {}
+    for rule in rules:  # already confidence-sorted; the first of each antecedent wins
+        firsts.setdefault(rule.antecedent, rule)
+    attrs = list(firsts.values())[:attribute_cap]
 
     records = [(_augmented_items(t), t.label) for t in labeled]
     return HarcModel(
@@ -278,10 +259,7 @@ def model_from_json(data: bytes) -> HarcModel:
             if not (items and all(type(i) is int and i > 0 for i in items) and items == sorted(set(items))):
                 raise ValueError(f"antecedent {items!r} is not an increasing list of positive integers")
         by_antecedent = {r.antecedent: r for r in reversed(rules)}  # the first wins, as in train
-        attributes = [
-            RuleAttribute(antecedent=tuple(a), rule=by_antecedent[tuple(a)])
-            for a in doc["attributes"]
-        ]
+        attributes = [by_antecedent[tuple(a)] for a in doc["attributes"]]
         return HarcModel(
             rules=rules,
             attributes=attributes,

@@ -227,13 +227,11 @@ def test_criterion_7():
 
     def make_attr(item):
         from imgmine.fpm import AssociationRule
-        from imgmine.harc import RuleAttribute
 
-        rule = AssociationRule(
+        return AssociationRule(
             antecedent=(item,), consequent="benign",
             support=Fraction(1, 2), confidence=Fraction(1, 1),
         )
-        return RuleAttribute(antecedent=(item,), rule=rule)
 
     for _ in range(100):
         records = rand_records()

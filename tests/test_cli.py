@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imgmine import fpm, harc, metrics, pipeline
+from imgmine import cli, fpm, harc, metrics, pipeline
 from imgmine.cli import build_parser, main
 from imgmine.config import (
     EXTRACTION_KEYS,
@@ -229,6 +230,9 @@ def test_unknown_magnitude_mode_exits_3(tmp_path, capsys):
         pytest.param('{"canny_low": 0, "canny_high": 1%s}' % ("0" * 400), [], "not finite",
                      id="huge-int-canny-high"),
         pytest.param("[" * 100_000, [], "bad config JSON", id="deeply-nested"),
+        pytest.param("\udcff\udcfe", [], "bad config JSON in", id="not-utf8"),
+        pytest.param('{"sigma": 1%s}' % ("0" * 5000), [], "bad config JSON in",
+                     id="int-beyond-the-digit-limit"),
         pytest.param('{"min_area": 2.5}', [], "config value min_area=2.5 has the wrong type",
                      id="float-min-area"),
         pytest.param('{"sigma": true}', [], "config value sigma=True has the wrong type", id="bool-sigma"),
@@ -253,7 +257,7 @@ def test_unknown_magnitude_mode_exits_3(tmp_path, capsys):
 def test_bad_config_document_exits_3(tmp_path, capsys, doc, flags, message):
     man = make_manifest(tmp_path, n=2)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(doc)
+    cfg.write_bytes(doc.encode("utf-8", "surrogateescape"))
     out = tmp_path / "tdb.csv"
     assert main(["features", str(man), str(out), "--config", str(cfg), *flags]) == 3
     assert message in capsys.readouterr().err
@@ -299,9 +303,9 @@ def test_each_command_takes_only_the_settings_it_reads():
         "train": {"--config"} | MINING,
         "classify": {"--config"},
         "evaluate": set(),
-        "synth": {"--config", "--seed"},
+        "synth": {"--seed"},
     }
-    assert sum(map(len, flags.values())) == 17
+    assert sum(map(len, flags.values())) == 16
 
 
 def test_each_command_takes_exactly_these_arguments():
@@ -320,9 +324,9 @@ def test_each_command_takes_exactly_these_arguments():
         "train": ["--tdb", "output", "--config", "--minsup", "--minconf"],
         "classify": ["model", "--manifest", "--image", "--tdb", "output", "--config"],
         "evaluate": ["predictions", "manifest", "--split", "--output"],
-        "synth": ["out_dir", "--per-class", "--config", "--seed"],
+        "synth": ["out_dir", "--per-class", "--seed"],
     }
-    assert sum(map(len, arguments.values())) == 38
+    assert sum(map(len, arguments.values())) == 37
 
 
 def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys):
@@ -345,6 +349,8 @@ def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys):
          "unrecognized arguments: --quant", tmp_path / "model.json"),
         (["synth", str(tmp_path / "corpus"), "--train-frac", "0.5"],
          "unrecognized arguments: --train-frac 0.5", tmp_path / "corpus"),
+        (["synth", str(tmp_path / "corpus"), "--config", str(tmp_path / "cfg.json")],
+         "unrecognized arguments: --config", tmp_path / "corpus"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -403,16 +409,19 @@ def test_evaluate_undefined_measure_exits_3(tmp_path, capsys):
      json.dumps(full_quantization(area=[2.0, 1.0])),
      json.dumps(full_quantization(area=["0", "1"])),
      json.dumps(full_quantization(volume=[0.0, 1.0])),
-     '{"area": [0, 1]}'],
+     '{"area": [0, 1]}', "not json", "\udcff\udcfe"],
     ids=["list", "one-bound", "null", "huge-int", "deeply-nested", "nan", "inverted", "strings",
-         "unknown-feature", "one-feature"],
+         "unknown-feature", "one-feature", "not-json", "not-utf8"],
 )
-def test_malformed_quantization_exits_3(tmp_path, quant):
-    tdb = tmp_path / "t.csv"
+def test_malformed_quantization_exits_3(tmp_path, capsys, quant):
+    """Each error names the file, whatever it found wrong there."""
+    tdb, path = tmp_path / "t.csv", tmp_path / "t.csv.quant.json"
     tdb.write_bytes(labeled_tdb())
-    (tmp_path / "t.csv.quant.json").write_text(quant)
+    (tmp_path / "t.csv.config.json").write_text(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
+    path.write_bytes(quant.encode("utf-8", "surrogateescape"))
     model = tmp_path / "model.json"
     assert main(["train", "--tdb", str(tdb), str(model)]) == 3
+    assert capsys.readouterr().err.startswith(f"imgmine: {path}: ")
     assert not model.exists()
 
 
@@ -589,6 +598,39 @@ def test_a_command_that_stops_gives_its_exit_code_and_one_message(tmp_path, caps
     assert not output.exists()
     if case == "rules-without-labels":
         assert (tmp_path / "m.csv").exists()  # the MFI is written before the rules check
+
+
+def returned_codes(tree):
+    """The source of each return value in each cmd_* function, split at conditionals."""
+    def leaves(value):
+        if isinstance(value, ast.IfExp):
+            return leaves(value.body) + leaves(value.orelse)
+        return [ast.unparse(value) if value is not None else "None"]
+
+    return {
+        node.name: [code for ret in ast.walk(node) if isinstance(ret, ast.Return)
+                    for code in leaves(ret.value)]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    }
+
+
+def test_returned_codes_detected():
+    tree = ast.parse("def cmd_a():\n    if x:\n        return EXIT_IO\n    return EXIT_OK if y else 3\n"
+                     "def helper():\n    return EXIT_MODEL\n")
+    assert {name: sorted(codes) for name, codes in returned_codes(tree).items()} == {
+        "cmd_a": ["3", "EXIT_IO", "EXIT_OK"]}
+
+
+def test_only_main_turns_a_failure_into_an_exit_code():
+    """A command returns EXIT_OK or EXIT_PARTIAL and raises on failure; main maps the
+    exception to exit 2, 3 or 4. ModelError lives in config, which main already loads."""
+    from imgmine import config
+
+    codes = returned_codes(ast.parse(Path(cli.__file__).read_text()))
+    assert len(codes) == 7 and all(codes.values())
+    assert {code for each in codes.values() for code in each} <= {"EXIT_OK", "EXIT_PARTIAL"}
+    assert harc.ModelError is config.ModelError
 
 
 # --------------------------------------------------------------- preprocess
@@ -887,15 +929,16 @@ def test_train_tdb_without_a_record_warns(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "record", ['{"sigma": 0}', '{"sigma": "1.4"}', '{"canny_low": 5.0}', '{"bogus": 1}', "[]",
-               "{", "[" * 100_000, "\udcff"],
+               "{", "[" * 100_000, "\udcff", '{"sigma": 1%s}' % ("0" * 5000)],
     ids=["zero-sigma", "string", "one-threshold", "unknown-key", "list", "truncated",
-         "deeply-nested", "not-utf8"],
+         "deeply-nested", "not-utf8", "int-beyond-the-digit-limit"],
 )
-def test_malformed_record_exits_3(tmp_path, record):
-    tdb, model = tmp_path / "t.csv", tmp_path / "model.json"
+def test_malformed_record_exits_3(tmp_path, capsys, record):
+    tdb, model, path = tmp_path / "t.csv", tmp_path / "model.json", tmp_path / "t.csv.config.json"
     tdb.write_bytes(labeled_tdb())
-    (tmp_path / "t.csv.config.json").write_bytes(record.encode("utf-8", "surrogateescape"))
+    path.write_bytes(record.encode("utf-8", "surrogateescape"))
     assert main(["train", "--tdb", str(tdb), str(model)]) == 3
+    assert str(path) in capsys.readouterr().err
     assert not model.exists()
 
 

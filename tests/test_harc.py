@@ -6,7 +6,6 @@ import pytest
 from imgmine.fpm import AssociationRule
 from imgmine.harc import (
     Leaf,
-    RuleAttribute,
     Split,
     classify,
     entropy,
@@ -22,13 +21,12 @@ from imgmine.segment import QuantizationModel, Transaction, TransactionDB
 
 
 def attr(*items):
-    rule = AssociationRule(
+    return AssociationRule(
         antecedent=tuple(sorted(items)),
         consequent="benign",
         support=Fraction(1, 2),
         confidence=Fraction(1, 1),
     )
-    return RuleAttribute(antecedent=rule.antecedent, rule=rule)
 
 
 def separable_records():
@@ -175,7 +173,7 @@ def test_classify_single_leaf():
 def test_classify_follows_fired_rule():
     a = attr(101)
     model = HarcModel(
-        rules=[a.rule], attributes=[a],
+        rules=[a], attributes=[a],
         tree=Split(
             attribute=0,
             on_true=Leaf(label="benign", distribution={"benign": 2}),
@@ -192,7 +190,7 @@ def test_classify_follows_fired_rule():
 def test_classify_deterministic():
     a = attr(101)
     model = HarcModel(
-        rules=[a.rule], attributes=[a],
+        rules=[a], attributes=[a],
         tree=Split(
             attribute=0,
             on_true=Leaf(label="benign", distribution={}),
@@ -270,7 +268,7 @@ def test_round_trip_keeps_the_first_rule_of_each_antecedent():
     db = TransactionDB([Transaction(tid=f"t{i}", items=(int(c),), label=label)
                         for i, (c, label) in enumerate(rows)])
     model = train(db, Fraction(1, 10), Fraction(1, 2))
-    fired = {a.antecedent: a.rule.consequent for a in model.attributes}
+    fired = {a.antecedent: a.consequent for a in model.attributes}
     assert fired[(110,)] == fired[(111,)] == "normal"  # two rules each; train keeps the first
     back = model_from_json(model_to_json(model))
     assert back.attributes == model.attributes

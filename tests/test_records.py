@@ -9,7 +9,7 @@ import pytest
 from imgmine.config import ConfigError, Manifest, ManifestEntry, ManifestError, PipelineConfig
 from imgmine.edge import GradientField
 from imgmine.fpm import AssociationRule
-from imgmine.harc import HarcModel, Leaf, RuleAttribute, Split
+from imgmine.harc import HarcModel, Leaf, Split
 from imgmine.metrics import ConfusionCounts, MultiClassMatrix
 from imgmine.prep import StructuringElement
 from imgmine.segment import FeatureVector, QuantizationModel, Region, TdbError, Transaction, TransactionDB
@@ -24,7 +24,7 @@ HOLLOW[1, 1] = False
 
 
 def model(default_class):
-    return HarcModel([RULE], [RuleAttribute((111,), RULE)], Split(0, LEAF, LEAF),
+    return HarcModel([RULE], [RULE], Split(0, LEAF, LEAF),
                      QuantizationModel({"area": (0.0, 1.0)}), default_class)
 
 
@@ -45,7 +45,6 @@ RECORDS = {
     "QuantizationModel": (lambda: QuantizationModel({"area": (0.0, 1.0)}), QuantizationModel),
     "AssociationRule": (lambda: AssociationRule((111,), "benign", Fraction(1, 2), Fraction(1)),
                         lambda: AssociationRule((111,), "benign", Fraction(1, 2), Fraction(2, 3))),
-    "RuleAttribute": (lambda: RuleAttribute((111,), RULE), lambda: RuleAttribute((112,), RULE)),
     "Leaf": (lambda: Leaf("benign", {"benign": 2}), lambda: Leaf("benign", {"benign": 3})),
     "Split": (lambda: Split(0, LEAF, LEAF), lambda: Split(0, LEAF, Leaf("normal", {}))),
     "HarcModel": (lambda: model("normal"), lambda: model("benign")),
