@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import sys
@@ -13,7 +12,7 @@ from pathlib import Path
 # classify --tdb and evaluate never load numpy or a pixel module, mine loads neither harc
 # nor metrics, and evaluate neither fpm nor harc.
 from .config import (EXTRACTION_KEYS, ConfigError, ModelError, PipelineConfig, config_to_json,
-                     load_config, read_manifest)
+                     load_config, read_input, read_manifest)
 from .raster import PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
@@ -40,10 +39,7 @@ def _err(msg):
 
 
 def _read_image(path):
-    try:
-        return read_pgm(Path(path).read_bytes())
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such input: {path}") from None
+    return read_input(path, read_pgm)
 
 
 def _sidecar(tdb, kind):
@@ -128,7 +124,7 @@ def cmd_mine(args) -> int:
     from . import fpm
 
     cfg = _config_from_args(args)
-    db = read_tdb_csv(Path(args.tdb).read_bytes())
+    db = read_input(args.tdb, read_tdb_csv)
     rules, per_level = fpm.mine_class_rules(db, cfg.minsup, cfg.minconf)
     Path(args.mfi).write_bytes(fpm.mfi_to_csv(per_level))
     if args.rules:
@@ -136,17 +132,6 @@ def cmd_mine(args) -> int:
             raise ValueError("rules requested but the transaction database has no labels")
         Path(args.rules).write_bytes(fpm.rules_to_csv(rules))
     return EXIT_OK
-
-
-def _load_quantization(tdb_path):
-    path = _sidecar(tdb_path, "quant")
-    if not path.exists():
-        _err(f"warning: no quantization at {path}; the model classifies transactions but not images")
-        return QuantizationModel()
-    try:
-        return QuantizationModel.from_dict(json.loads(path.read_text()))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, or a bad range
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _check_agreement(cfg, cfg_path, recorded, source):
@@ -162,7 +147,7 @@ def cmd_train(args) -> int:
     from . import harc
 
     cfg = _config_from_args(args)
-    db = read_tdb_csv(Path(args.tdb).read_bytes())
+    db = read_input(args.tdb, read_tdb_csv)
     record = _sidecar(args.tdb, "config")
     if record.exists():
         extraction = load_config(record)
@@ -172,7 +157,12 @@ def cmd_train(args) -> int:
         _err(f"warning: no extraction record at {record}; the model records "
              "the extraction settings of --config or the defaults")
         extraction = cfg
-    qm = _load_quantization(args.tdb)
+    quant = _sidecar(args.tdb, "quant")
+    if quant.exists():
+        qm = read_input(quant, lambda data: QuantizationModel.from_dict(json.loads(data.decode("utf-8"))))
+    else:
+        _err(f"warning: no quantization at {quant}; the model classifies transactions but not images")
+        qm = QuantizationModel()
     model = harc.train(db, minsup=cfg.minsup, minconf=cfg.minconf, quantization=qm, config=extraction)
     Path(args.output).write_bytes(harc.model_to_json(model))
     return EXIT_OK
@@ -183,10 +173,7 @@ def cmd_classify(args) -> int:
     from . import harc
 
     cfg = load_config(args.config) if args.config else None
-    try:
-        model = harc.model_from_json(Path(args.model).read_bytes())
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such model: {args.model}") from None
+    model = read_input(args.model, harc.model_from_json)
     if cfg is not None:
         _check_agreement(cfg, args.config, model.config, f"model {args.model}")
     if not args.tdb and not model.quantization.ranges:
@@ -194,7 +181,7 @@ def cmd_classify(args) -> int:
     rows = []
     failed = False
     if args.tdb:
-        db = read_tdb_csv(Path(args.tdb).read_bytes())
+        db = read_input(args.tdb, read_tdb_csv)
         for t in db.transactions:
             label, fired = harc.classify(model, t)
             rows.append((t.tid, label, len(fired)))
@@ -215,6 +202,20 @@ def cmd_classify(args) -> int:
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
+def _predictions(data):
+    """{path: predicted class} of a predictions file, in its order."""
+    predicted = {}
+    for lineno, line, parts in csv_lines(data.decode("utf-8")):
+        if lineno == 1 and line.startswith("path,"):
+            continue
+        if len(parts) != 3 or parts[1] not in CLASSES:
+            raise ValueError(f"line {lineno}: bad prediction row")
+        if parts[0] in predicted:
+            raise ValueError(f"line {lineno}: {parts[0]} predicted twice")
+        predicted[parts[0]] = parts[1]
+    return predicted
+
+
 def cmd_evaluate(args) -> int:
     from . import metrics
 
@@ -226,16 +227,7 @@ def cmd_evaluate(args) -> int:
         if wanted is None or e.split == wanted
     }
     pairs = []
-    predicted_paths = set()
-    for lineno, line, parts in csv_lines(Path(args.predictions).read_text()):
-        if lineno == 1 and line.startswith("path,"):
-            continue
-        if len(parts) != 3 or parts[1] not in CLASSES:
-            raise ValueError(f"{args.predictions}:{lineno}: bad prediction row")
-        path, predicted = parts[0], parts[1]
-        if path in predicted_paths:
-            raise ValueError(f"{args.predictions}:{lineno}: {path} predicted twice")
-        predicted_paths.add(path)
+    for path, predicted in read_input(args.predictions, _predictions).items():
         if path not in labels:
             continue
         if labels[path] is None:
@@ -335,15 +327,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, PgmError) as exc:
+    except (OSError, ValueError) as exc:  # every other input error of the package is a ValueError
         _err(str(exc))
-        return EXIT_IO
-    except ModelError as exc:
-        _err(str(exc))
-        return EXIT_MODEL
-    except (ValueError, csv.Error) as exc:  # every input error of the package is a ValueError
-        _err(str(exc))
-        return EXIT_SEMANTIC
+        if isinstance(exc, (OSError, PgmError)):
+            return EXIT_IO
+        return EXIT_MODEL if isinstance(exc, ModelError) else EXIT_SEMANTIC
 
 
 def run():

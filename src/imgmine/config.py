@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
 
+from .raster import PgmError
 from .segment import CLASSES, csv_lines, csv_text
 
 
@@ -22,12 +24,28 @@ class ModelError(ValueError):
     """Model persistence / compatibility failure."""
 
 
+def read_input(path, parse):
+    """parse(the bytes of the file at path): the one reader of input files. An error in the
+    file is raised again as 'PATH: reason' with the exit code of its kind: a PgmError (2) or
+    a ModelError (4) keeps its class; any other ValueError, a csv.Error or the RecursionError
+    of too deep JSON becomes a ValueError (3). An OSError passes as it is: it names the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except (ValueError, RecursionError, csv.Error) as exc:
+        kind = type(exc) if isinstance(exc, (PgmError, ModelError)) else ValueError
+        raise kind(f"{path}: {exc}") from None
+
+
 # The settings that turn an image into a transaction. A model records them,
 # so classify extracts exactly as the model's training data was extracted.
 EXTRACTION_KEYS = ("sigma", "canny_low", "canny_high", "equalize", "min_area")
 # The Gaussian kernels take 6*sigma+1 samples; far below this bound they
 # already span any image the pipeline is meant for.
 MAX_SIGMA = 100.0
+# Below this bound the derivative kernel's outer taps, exp(-1 / (2 sigma^2)) / sigma^2,
+# fall towards 0: a one-level step's magnitude nears edge.FLAT_MAGNITUDE (9.9e-9 at 0.15)
+# and reaches 0 by 0.12, and at 1e-300 the kernels are NaN.
+MIN_SIGMA = 0.2
 
 
 class PipelineConfig:
@@ -61,8 +79,8 @@ class PipelineConfig:
             raise ConfigError("minsup must lie in (0, 1]")
         if not 0 < self.minconf <= 1:
             raise ConfigError("minconf must lie in (0, 1]")
-        if not 0 < self.sigma <= MAX_SIGMA:
-            raise ConfigError(f"sigma must lie in (0, {MAX_SIGMA:g}]")
+        if not MIN_SIGMA <= self.sigma <= MAX_SIGMA:
+            raise ConfigError(f"sigma must lie in [{MIN_SIGMA:g}, {MAX_SIGMA:g}]")
         if self.min_area < 1:
             raise ConfigError("min_area must be >= 1")
         if (self.canny_low is None) != (self.canny_high is None):
@@ -75,27 +93,23 @@ class PipelineConfig:
             getattr(self, k) == getattr(other, k) for k in self.DEFAULTS)
 
 
+def _config_document(data):
+    """The settings of a config file, checked on their own before a flag overrides them."""
+    doc = json.loads(data.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise ConfigError("not a JSON object")
+    PipelineConfig(**doc)
+    return doc
+
+
 def load_config(path=None, overrides=None) -> PipelineConfig:
     """Config file (flat JSON keys) with CLI overrides layered on top; a bad value's error
     names the file, or the flags that override it."""
-    values = {}
-    if path is not None:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-            raise ConfigError(f"bad config JSON in {path}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} is not a JSON object")
-        values.update(doc)
-    source = f"config {path}"
+    values = {} if path is None else read_input(path, _config_document)
     try:
-        cfg = PipelineConfig(**values)  # the file is checked on its own before a flag overrides it
-        if overrides:
-            source = ", ".join(PipelineConfig.FLAGS[key] for key in overrides)
-            cfg = PipelineConfig(**values | overrides)
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
-    return cfg
+        return PipelineConfig(**values | (overrides or {}))
+    except ConfigError as exc:  # the file alone is valid, so a flag made it fail
+        raise ConfigError(f"{', '.join(map(PipelineConfig.FLAGS.get, overrides))}: {exc}") from None
 
 
 def config_to_json(cfg: PipelineConfig, keys=tuple(PipelineConfig.DEFAULTS)) -> str:
@@ -134,17 +148,18 @@ MANIFEST_HEADER = "path,label,split"
 
 
 def read_manifest(path) -> Manifest:
-    path = Path(path)
-    text = path.read_text()
-    entries = []
-    for lineno, line, parts in csv_lines(text):
-        if lineno == 1 and line.strip() == MANIFEST_HEADER:
-            continue
-        if len(parts) != 3:
-            raise ManifestError(f"{path}:{lineno}: expected 'path,label,split'")
-        p, label, split = (s.strip() for s in parts)
-        entries.append(ManifestEntry(path=p, label=label or None, split=split))
-    return Manifest(entries=entries, base_dir=path.parent)
+    def parse(data):
+        entries = []
+        for lineno, line, parts in csv_lines(data.decode("utf-8")):
+            if lineno == 1 and line.strip() == MANIFEST_HEADER:
+                continue
+            if len(parts) != 3:
+                raise ManifestError(f"line {lineno}: expected 'path,label,split'")
+            p, label, split = (s.strip() for s in parts)
+            entries.append(ManifestEntry(path=p, label=label or None, split=split))
+        return Manifest(entries=entries, base_dir=Path(path).parent)
+
+    return read_input(path, parse)
 
 
 def write_manifest(manifest: Manifest) -> str:

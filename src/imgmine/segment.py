@@ -12,15 +12,6 @@ from typing import NamedTuple, Optional
 # glcm_features): mine, train --tdb, classify --tdb and evaluate import this
 # module for its item codes and TDB I/O, and must not pay numpy's import.
 
-FEATURE_NAMES = (
-    "area",
-    "mean_intensity",
-    "glcm_contrast",
-    "glcm_energy",
-    "glcm_homogeneity",
-    "glcm_entropy",
-)
-
 CLASSES = ("normal", "benign", "malignant")
 CLASS_ITEMS = {name: 901 + i for i, name in enumerate(CLASSES)}
 ITEM_CLASSES = {v: k for k, v in CLASS_ITEMS.items()}
@@ -54,6 +45,9 @@ class FeatureVector(NamedTuple):
 
     def value(self, name):
         return getattr(self, name)
+
+
+FEATURE_NAMES = FeatureVector._fields
 
 
 class Transaction:
@@ -188,10 +182,10 @@ class QuantizationModel:
         """What fit writes: {}, or finite [min, max] with min <= max for each of FEATURE_NAMES."""
         try:
             ranges = {name: (float(lo), float(hi)) for name, (lo, hi) in d.items()}
-            numbers = all(type(v) in (int, float) for bounds in d.values() for v in bounds)
+            numeric = all(type(v) in (int, float) for bounds in d.values() for v in bounds)
         except (AttributeError, OverflowError, TypeError, ValueError):
-            numbers = False
-        if not numbers or (ranges and set(ranges) != set(FEATURE_NAMES)) or not all(
+            numeric = False
+        if not numeric or (ranges and set(ranges) != set(FEATURE_NAMES)) or not all(
             -math.inf < lo <= hi < math.inf for lo, hi in ranges.values()
         ):
             raise ValueError(f"quantization must be {{}} or map each of {list(FEATURE_NAMES)} "

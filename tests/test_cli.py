@@ -2,6 +2,7 @@ import ast
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from imgmine import cli, fpm, harc, metrics, pipeline
 from imgmine.cli import build_parser, main
 from imgmine.config import (
     EXTRACTION_KEYS,
+    MIN_SIGMA,
     PipelineConfig,
     config_to_json,
     read_manifest,
@@ -24,6 +26,7 @@ from imgmine.raster import read_pgm, write_pgm
 from imgmine.segment import (
     CLASSES,
     FEATURE_NAMES,
+    QuantizationModel,
     Transaction,
     TransactionDB,
     encode_item,
@@ -190,7 +193,7 @@ def test_malformed_model_exits_4(tmp_path, capsys):
     for text in ("[]", '"model"'):  # valid JSON, but not an object
         model.write_text(text)
         assert main(["classify", str(model), "--tdb", str(tdb), str(tmp_path / "p.csv")]) == 4
-        assert capsys.readouterr().err == "imgmine: model JSON is not an object\n"
+        assert capsys.readouterr().err == f"imgmine: {model}: model JSON is not an object\n"
 
 
 def test_config_value_of_wrong_type_exits_3(tmp_path):
@@ -213,55 +216,92 @@ def test_unknown_magnitude_mode_exits_3(tmp_path, capsys):
         assert not out.exists()
 
 
+# Each case names the start of the one stderr line after "imgmine: " ({cfg} is the file), or
+# the whole line when it ends in a newline. Nine ids are the ones pytest derives from a bare
+# substring message, kept so that each case keeps its name.
 @pytest.mark.parametrize(
     "doc, flags, message",
     [
-        ("5", [], "not a JSON object"),
-        ("null", [], "not a JSON object"),
-        ("[]", [], "not a JSON object"),
-        ('"ab"', [], "not a JSON object"),
-        ('{"sigma": Infinity}', [], "not finite"),
-        ('{"sigma": NaN}', [], "not finite"),
-        ('{"sigma": -Infinity}', [], "not finite"),
-        ('{"canny_low": 1, "canny_high": Infinity}', [], "not finite"),
-        ("{}", ["--sigma", "nan"], "not finite"),
-        ('{"sigma": 1e300}', [], "sigma must lie in (0, 100]"),
-        pytest.param('{"sigma": 1%s}' % ("0" * 400), [], "not finite", id="huge-int-sigma"),
-        pytest.param('{"canny_low": 0, "canny_high": 1%s}' % ("0" * 400), [], "not finite",
+        pytest.param("5", [], "{cfg}: not a JSON object\n", id="5-flags0-not a JSON object"),
+        pytest.param("null", [], "{cfg}: not a JSON object\n", id="null-flags1-not a JSON object"),
+        pytest.param("[]", [], "{cfg}: not a JSON object\n", id="[]-flags2-not a JSON object"),
+        pytest.param('"ab"', [], "{cfg}: not a JSON object\n", id='"ab"-flags3-not a JSON object'),
+        pytest.param('{"sigma": Infinity}', [], "{cfg}: config value sigma=inf is not finite\n",
+                     id='{"sigma": Infinity}-flags4-not finite'),
+        pytest.param('{"sigma": NaN}', [], "{cfg}: config value sigma=nan is not finite\n",
+                     id='{"sigma": NaN}-flags5-not finite'),
+        pytest.param('{"sigma": -Infinity}', [], "{cfg}: config value sigma=-inf is not finite\n",
+                     id='{"sigma": -Infinity}-flags6-not finite'),
+        pytest.param('{"canny_low": 1, "canny_high": Infinity}', [],
+                     "{cfg}: config value canny_high=inf is not finite\n",
+                     id='{"canny_low": 1, "canny_high": Infinity}-flags7-not finite'),
+        pytest.param("{}", ["--sigma", "nan"], "--sigma: config value sigma=nan is not finite\n",
+                     id="{}-flags8-not finite"),
+        pytest.param('{"sigma": 1e300}', [], "{cfg}: sigma must lie in [0.2, 100]\n", id="sigma-1e300"),
+        pytest.param('{"sigma": 1e-300}', [], "{cfg}: sigma must lie in [0.2, 100]\n", id="sigma-1e-300"),
+        pytest.param('{"sigma": 1e-10}', [], "{cfg}: sigma must lie in [0.2, 100]\n", id="sigma-1e-10"),
+        pytest.param('{"sigma": %r}' % math.nextafter(MIN_SIGMA, 0), [],
+                     "{cfg}: sigma must lie in [0.2, 100]\n", id="sigma-just-below-the-bound"),
+        pytest.param("{}", ["--sigma", "0.19"], "--sigma: sigma must lie in [0.2, 100]\n",
+                     id="flag-sigma-below-min"),
+        pytest.param('{"sigma": 1%s}' % ("0" * 400), [],
+                     "{cfg}: config value sigma=1%s is not finite\n" % ("0" * 400), id="huge-int-sigma"),
+        pytest.param('{"canny_low": 0, "canny_high": 1%s}' % ("0" * 400), [],
+                     "{cfg}: config value canny_high=1%s is not finite\n" % ("0" * 400),
                      id="huge-int-canny-high"),
-        pytest.param("[" * 100_000, [], "bad config JSON", id="deeply-nested"),
-        pytest.param("\udcff\udcfe", [], "bad config JSON in", id="not-utf8"),
-        pytest.param('{"sigma": 1%s}' % ("0" * 5000), [], "bad config JSON in",
+        pytest.param("[" * 100_000, [],
+                     "{cfg}: maximum recursion depth exceeded while decoding a JSON array",
+                     id="deeply-nested"),
+        pytest.param("\udcff\udcfe", [],
+                     "{cfg}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+                     id="not-utf8"),
+        pytest.param('{"sigma": 1%s}' % ("0" * 5000), [],
+                     "{cfg}: Exceeds the limit (4300 digits) for integer string conversion",
                      id="int-beyond-the-digit-limit"),
-        pytest.param('{"min_area": 2.5}', [], "config value min_area=2.5 has the wrong type",
+        pytest.param('{"min_area": 2.5}', [], "{cfg}: config value min_area=2.5 has the wrong type\n",
                      id="float-min-area"),
-        pytest.param('{"sigma": true}', [], "config value sigma=True has the wrong type", id="bool-sigma"),
-        pytest.param('{"equalize": 1}', [], "config value equalize=1 has the wrong type", id="int-equalize"),
-        pytest.param('{"minsup": 0}', [], "minsup must lie in (0, 1]", id="zero-minsup"),
-        pytest.param('{"minconf": 1.5}', [], "minconf must lie in (0, 1]", id="minconf-above-1"),
-        pytest.param('{"min_area": 0}', [], "min_area must be >= 1", id="zero-min-area"),
-        pytest.param('{"canny_low": 1}', [], "set both canny_low and canny_high or neither",
+        pytest.param('{"sigma": true}', [], "{cfg}: config value sigma=True has the wrong type\n",
+                     id="bool-sigma"),
+        pytest.param('{"equalize": 1}', [], "{cfg}: config value equalize=1 has the wrong type\n",
+                     id="int-equalize"),
+        pytest.param('{"minsup": 0}', [], "{cfg}: minsup must lie in (0, 1]\n", id="zero-minsup"),
+        pytest.param('{"minconf": 1.5}', [], "{cfg}: minconf must lie in (0, 1]\n", id="minconf-above-1"),
+        pytest.param('{"min_area": 0}', [], "{cfg}: min_area must be >= 1\n", id="zero-min-area"),
+        pytest.param('{"canny_low": 1}', [], "{cfg}: set both canny_low and canny_high or neither\n",
                      id="canny-low-alone"),
-        pytest.param('{"canny_low": 5, "canny_high": 4}', [], "need 0 <= canny_low <= canny_high",
+        pytest.param('{"canny_low": 5, "canny_high": 4}', [], "{cfg}: need 0 <= canny_low <= canny_high\n",
                      id="canny-inverted"),
-        pytest.param("{}", ["--min-area", "0"], "min_area must be >= 1", id="flag-zero-min-area"),
-        pytest.param("{}", ["--sigma", "101"], "sigma must lie in (0, 100]", id="flag-sigma-above-max"),
-        pytest.param("{}", ["--canny-high", "9"], "set both canny_low and canny_high or neither",
+        pytest.param("{}", ["--min-area", "0"], "--min-area: min_area must be >= 1\n",
+                     id="flag-zero-min-area"),
+        pytest.param("{}", ["--sigma", "101"], "--sigma: sigma must lie in [0.2, 100]\n",
+                     id="flag-sigma-above-max"),
+        pytest.param("{}", ["--canny-high", "9"],
+                     "--canny-high: set both canny_low and canny_high or neither\n",
                      id="flag-canny-high-alone"),
         pytest.param('{"canny_low": 5, "canny_high": 9}', ["--canny-low", "10"],
-                     "need 0 <= canny_low <= canny_high", id="flag-inverts-file-canny"),
-        pytest.param('{"sigma": -1}', ["--sigma", "2"], "sigma must lie in (0, 100]",
+                     "--canny-low: need 0 <= canny_low <= canny_high\n", id="flag-inverts-file-canny"),
+        pytest.param('{"sigma": -1}', ["--sigma", "2"], "{cfg}: sigma must lie in [0.2, 100]\n",
                      id="flag-cannot-mend-a-bad-file"),
     ],
 )
 def test_bad_config_document_exits_3(tmp_path, capsys, doc, flags, message):
+    """Each error names its source, the file or the flags, and then the reason."""
     man = make_manifest(tmp_path, n=2)
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(doc.encode("utf-8", "surrogateescape"))
     out = tmp_path / "tdb.csv"
     assert main(["features", str(man), str(out), "--config", str(cfg), *flags]) == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("imgmine: " + message.format(cfg=cfg)) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_a_sigma_at_the_bound_extracts(tmp_path):
+    man, cfg, out = make_manifest(tmp_path, n=2), tmp_path / "cfg.json", tmp_path / "tdb.csv"
+    cfg.write_text(json.dumps({"sigma": MIN_SIGMA}))
+    assert MIN_SIGMA == 0.2
+    assert main(["features", str(man), str(out), "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "tdb.csv.config.json").read_text())["sigma"] == MIN_SIGMA
 
 
 SETTINGS = {"--config", "--sigma", "--canny-low", "--canny-high", "--min-area", "--no-equalize",
@@ -284,9 +324,9 @@ def test_a_config_value_error_names_its_source(tmp_path, capsys):
                  ["features", str(man), str(out), "--sigma", "0"]):
         assert main(argv) == 3
         errors.append(capsys.readouterr().err)
-    assert errors == [f"imgmine: config {record}: sigma must lie in (0, 100]\n",
-                      f"imgmine: config {cfg}: sigma must lie in (0, 100]\n",
-                      "imgmine: --sigma: sigma must lie in (0, 100]\n"]
+    assert errors == [f"imgmine: {record}: sigma must lie in [0.2, 100]\n",
+                      f"imgmine: {cfg}: sigma must lie in [0.2, 100]\n",
+                      "imgmine: --sigma: sigma must lie in [0.2, 100]\n"]
     assert not model.exists() and not out.exists()
 
 
@@ -377,7 +417,7 @@ def test_evaluate_path_predicted_twice_exits_3(tmp_path, capsys):
     man = tmp_path / "manifest.csv"
     man.write_text("path,label,split\na.pgm,normal,test\nb.pgm,benign,test\n")
     assert main(["evaluate", str(pred), str(man)]) == 3
-    assert f"{pred}:4: b.pgm predicted twice" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"imgmine: {pred}: line 4: b.pgm predicted twice\n"
 
 
 def test_evaluate_skips_a_predicted_path_without_a_label(tmp_path, capsys):
@@ -477,7 +517,7 @@ def test_invalid_transaction_row_exits_3(tmp_path, capsys, rows, message):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(TDB_HEADER + rows)
     assert main(["mine", str(tdb), "--mfi", str(tmp_path / "m.csv")]) == 3
-    assert capsys.readouterr().err == f"imgmine: {message}\n"
+    assert capsys.readouterr().err == f"imgmine: {tdb}: {message}\n"
     assert not (tmp_path / "m.csv").exists()
 
 
@@ -493,7 +533,7 @@ def test_malformed_manifest_exits_3(tmp_path, capsys, rows, message):
     pred.write_text("path,predicted,fired_rule_count\na.pgm,normal,0\n")
     for argv in (["features", str(man), str(tmp_path / "f.csv")], ["evaluate", str(pred), str(man)]):
         assert main(argv) == 3
-        assert capsys.readouterr().err == f"imgmine: {message}\n"
+        assert capsys.readouterr().err == f"imgmine: {man}: {message}\n"
     assert not (tmp_path / "f.csv").exists()
 
 
@@ -565,20 +605,21 @@ def _train_disagrees(tmp_path):
 STOPS = {
     "rules-without-labels": (3, _no_labels),
     "bad-prediction-row": (3, _predictions("a.pgm,normal,0\nb.pgm,cancerous,0\n",
-                                           "a.pgm,normal,test\n", "{pred}:3: bad prediction row")),
+                                           "a.pgm,normal,test\n", "{pred}: line 3: bad prediction row")),
     "short-prediction-row": (3, _predictions("a.pgm,normal\n", "a.pgm,normal,test\n",
-                                             "{pred}:2: bad prediction row")),
+                                             "{pred}: line 2: bad prediction row")),
     "path-predicted-twice": (3, _predictions("a.pgm,normal,0\nb.pgm,benign,0\nb.pgm,benign,0\n",
                                              "a.pgm,normal,test\nb.pgm,benign,test\n",
-                                             "{pred}:4: b.pgm predicted twice")),
+                                             "{pred}: line 4: b.pgm predicted twice")),
     "no-labeled-predictions": (3, _predictions("a.pgm,normal,0\nb.pgm,benign,0\n", "c.pgm,benign,test\n",
                                                "no labeled predictions to evaluate")),
     "unreadable-model": (4, _classify_tdb(lambda: b"not json",
-                                          "unreadable model: Expecting value: line 1 column 1 (char 0)")),
+                                          "{model}: unreadable model: "
+                                          "Expecting value: line 1 column 1 (char 0)")),
     "model-version": (4, _classify_tdb(lambda: _trained_model().replace(b"harc-2", b"harc-0"),
-                                       "model version 'harc-0' != harc-2")),
+                                       "{model}: model version 'harc-0' != harc-2")),
     "malformed-model": (4, _classify_tdb(lambda: _trained_model().replace(b'"rules"', b'"rulez"'),
-                                         "malformed model: KeyError: 'rules'")),
+                                         "{model}: malformed model: KeyError: 'rules'")),
     "model-lacks-quantization": (4, _no_quantization),
     "classify-config-disagrees": (4, _classify_tdb(_trained_model,
                                                    "config {cfg} and model {model} disagree on sigma",
@@ -631,6 +672,117 @@ def test_only_main_turns_a_failure_into_an_exit_code():
     assert len(codes) == 7 and all(codes.values())
     assert {code for each in codes.values() for code in each} <= {"EXIT_OK", "EXIT_PARTIAL"}
     assert harc.ModelError is config.ModelError
+
+
+def valid_inputs(tmp_path):
+    """A valid file of each input kind, by kind; the model holds a quantization."""
+    paths = {kind: tmp_path / name for kind, name in (
+        ("tdb", "t.csv"), ("record", "t.csv.config.json"), ("quant", "t.csv.quant.json"),
+        ("model", "model.json"), ("manifest", "manifest.csv"), ("pred", "pred.csv"),
+        ("config", "cfg.json"), ("image", "blob.pgm"))}
+    paths["tdb"].write_bytes(labeled_tdb())
+    paths["record"].write_text(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
+    paths["quant"].write_text(json.dumps(full_quantization()))
+    quantization = QuantizationModel.from_dict(full_quantization())
+    paths["model"].write_bytes(harc.model_to_json(harc.train(read_tdb_csv(labeled_tdb()),
+                                                             quantization=quantization)))
+    paths["manifest"].write_text("path,label,split\nblob.pgm,benign,test\n")
+    paths["pred"].write_text("path,predicted,fired_rule_count\nblob.pgm,benign,0\n")
+    paths["config"].write_text("{}")
+    write_image(paths["image"], blob_image())
+    return paths
+
+
+# Each command that reads an input file, with the kinds it reads and the one output it writes.
+INPUT_COMMANDS = {
+    "mine": ["mine", "{tdb}", "--mfi", "{out}", "--config", "{config}"],
+    "train": ["train", "--tdb", "{tdb}", "{out}"],
+    "classify-tdb": ["classify", "{model}", "--tdb", "{tdb}", "{out}"],
+    "classify-image": ["classify", "{model}", "--image", "{image}", "{out}"],
+    "features": ["features", "{manifest}", "{out}"],
+    "evaluate": ["evaluate", "{pred}", "{manifest}", "--output", "{out}"],
+    "preprocess": ["preprocess", "{image}", "{out}"],
+}
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+# (command, the kind of its input file that is bad, the file's bytes or None for a missing
+# file, exit code, the reason after the file's path)
+INPUT_ERRORS = {
+    "tdb-row": ("mine", "tdb", TDB_HEADER + b"a,,1;x\n", 3, "line 2: non-numeric item in '1;x'"),
+    "tdb-not-utf8": ("mine", "tdb", b"\xff", 3, NOT_UTF8),
+    "tdb-of-train": ("train", "tdb", TDB_HEADER + b"a,,1\na,,2\n", 3, "line 3: duplicate tid 'a'"),
+    "tdb-of-classify": ("classify-tdb", "tdb", b"a,b\n", 3, "line 1: expected 'tid,label,items'"),
+    "tdb-beyond-the-csv-field-limit": ("mine", "tdb", b"t" * 200_000 + b",,1\n", 3,
+                                       "field larger than field limit (131072)"),
+    "model": ("classify-tdb", "model", b"[]", 4, "model JSON is not an object"),
+    "model-not-utf8": ("classify-tdb", "model", b"\xff", 4, f"unreadable model: {NOT_UTF8}"),
+    "manifest": ("features", "manifest", b"path,label,split\na.pgm,benign,dev\n", 3,
+                 "unknown split 'dev' for a.pgm"),
+    "manifest-not-utf8": ("features", "manifest", b"\xff", 3, NOT_UTF8),
+    "manifest-of-evaluate": ("evaluate", "manifest", b"a.pgm\n", 3, "line 1: expected 'path,label,split'"),
+    "predictions": ("evaluate", "pred", b"a.pgm,normal\n", 3, "line 1: bad prediction row"),
+    "predictions-not-utf8": ("evaluate", "pred", b"\xff", 3, NOT_UTF8),
+    "config": ("mine", "config", b"[]", 3, "not a JSON object"),
+    "record": ("train", "record", b'{"sigma": 0}', 3, "sigma must lie in [0.2, 100]"),
+    "record-not-utf8": ("train", "record", b"\xff", 3, NOT_UTF8),
+    "quantization": ("train", "quant", b"not json", 3, "Expecting value: line 1 column 1 (char 0)"),
+    "pgm-of-preprocess": ("preprocess", "image", b"\xff", 2, "bad magic b'\\xff' at byte 0 (expected P5)"),
+    "pgm-of-classify": ("classify-image", "image", b"P5 2 2 15\n" + bytes([1, 2, 200, 3]), 2,
+                        "pixel 200 above maxval 15 at byte 12"),
+    **{f"missing-{kind}-of-{command}": (command, kind, None, 2, None) for command, kind in (
+        ("mine", "tdb"), ("classify-tdb", "model"), ("features", "manifest"), ("evaluate", "pred"),
+        ("mine", "config"), ("preprocess", "image"), ("classify-image", "image"))},
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_every_input_error_names_its_file(tmp_path, capsys, case):
+    """A bad input file gives 'imgmine: PATH: reason' and its kind's exit code; a missing one
+    gives the OS's message, which names the path, and exit 2. No output is written."""
+    command, kind, content, code, reason = INPUT_ERRORS[case]
+    paths = valid_inputs(tmp_path)
+    bad, out = paths[kind], tmp_path / "out"
+    if content is None:
+        bad.unlink()
+        line = f"[Errno 2] No such file or directory: '{bad}'"
+    else:
+        bad.write_bytes(content)
+        line = f"{bad}: {reason}"
+    argv = [arg.format(out=out, **paths) for arg in INPUT_COMMANDS[command]]
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"imgmine: {line}\n")
+    assert not out.exists()
+
+
+def file_reads(tree):
+    """The top-level definition around each call that reads a file: .read_bytes(), .read_text()
+    or the builtin open(); "<module>" for a call outside any definition."""
+    found = []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute) and node.func.attr in ("read_bytes", "read_text")
+                    or isinstance(node.func, ast.Name) and node.func.id == "open"):
+                found.append(name)
+    return found
+
+
+def test_file_reads_detected():
+    tree = ast.parse("import x\nx.open('a')\n"
+                     "def f(p):\n    def g():\n        return open(p)\n    return p.read_text()\n"
+                     "class C:\n    def m(self, p):\n        return p.read_bytes()\n"
+                     "with open('b') as h:\n    pass\n")
+    assert sorted(file_reads(tree)) == ["<module>", "C", "f", "f"]
+
+
+def test_only_read_input_reads_a_file():
+    """config.read_input reads every input file, so each of their errors names its file."""
+    package = Path(cli.__file__).parent
+    readers = {(path.stem, name) for path in sorted(package.glob("*.py"))
+               for name in file_reads(ast.parse(path.read_text()))}
+    assert readers == {("config", "read_input")}
 
 
 # --------------------------------------------------------------- preprocess
@@ -1166,7 +1318,7 @@ def test_classify_manifest_unreadable_image_partial(tmp_path, capsys):
     assert main(["classify", str(model), "--manifest", str(man), str(pred)]) == 1
     err = capsys.readouterr().err
     assert "ghost.pgm" in err and "broken.pgm" in err
-    assert "imgmine: nul\0.pgm: embedded null byte" in err.splitlines()
+    assert f"imgmine: nul\0.pgm: {tmp_path}/nul\0.pgm: embedded null byte" in err.splitlines()
     rows = pred.read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["img0.pgm", "img1.pgm", "dark.pgm"]
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from imgmine.config import ConfigError, PipelineConfig
+from imgmine.config import MIN_SIGMA, ConfigError, PipelineConfig
 from imgmine.edge import (
+    FLAT_MAGNITUDE,
     GradientField,
     chamfer_manhattan,
     gaussian_kernels,
@@ -50,6 +51,12 @@ def test_gaussian_kernel_normalized_and_symmetric(sigma):
 
 def test_gaussian_kernel_length():
     assert [len(k) for k in gaussian_kernels(1.0)] == [7, 7]
+
+
+def test_the_smallest_sigma_still_sees_a_one_level_step():
+    """The config's lower sigma bound keeps finite kernels and a nonzero derivative."""
+    assert all(np.isfinite(k).all() for k in gaussian_kernels(MIN_SIGMA))
+    assert gradients(ramp_step(left=100, right=101), MIN_SIGMA).mag.max() >= FLAT_MAGNITUDE
 
 
 def test_kernel_rejects_bad_sigma():

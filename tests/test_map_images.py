@@ -105,10 +105,10 @@ def test_each_image_keeps_its_message_across_jobs(tmp_path, capsys, cpus):
     cpus(2)
     assert main(["features", str(man), str(tmp_path / "tdb.csv")]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"imgmine: ghost.pgm: no such input: {tmp_path / 'ghost.pgm'}",
-        "imgmine: broken.pgm: truncated pixel data at byte 13",
-        "imgmine: above.pgm: pixel 200 above maxval 15 at byte 12",
-        "imgmine: empty.pgm: unexpected end of header at byte 0",
+        f"imgmine: ghost.pgm: [Errno 2] No such file or directory: '{tmp_path / 'ghost.pgm'}'",
+        f"imgmine: broken.pgm: {tmp_path / 'broken.pgm'}: truncated pixel data at byte 13",
+        f"imgmine: above.pgm: {tmp_path / 'above.pgm'}: pixel 200 above maxval 15 at byte 12",
+        f"imgmine: empty.pgm: {tmp_path / 'empty.pgm'}: unexpected end of header at byte 0",
     ]
 
 
@@ -135,7 +135,8 @@ def test_an_extraction_error_is_each_readable_image_of_its_stack(tmp_path, capsy
     stack = [f"img{i}.pgm" for i in range(17, 32, 2) if i != 19]
     assert [line for line in err.splitlines() if "cannot extract" in line] == [
         f"imgmine: {name}: cannot extract" for name in stack]
-    assert "imgmine: above.pgm: pixel 200 above maxval 15 at byte 12" in err.splitlines()
+    assert (f"imgmine: above.pgm: {tmp_path / 'above.pgm'}: pixel 200 above maxval 15 at byte 12"
+            in err.splitlines())
     tids = {line.split(",")[0] for line in written.decode().splitlines()}
     assert not tids & set(stack) and "img20.pgm" in tids
 
