@@ -11,15 +11,15 @@ from pathlib import Path
 # Each command imports only the layers it runs, inside its own body: mine, train,
 # classify --tdb and evaluate never load numpy or a pixel module, mine loads neither harc
 # nor metrics, and evaluate neither fpm nor harc.
-from .config import (EXTRACTION_KEYS, ConfigError, ModelError, PipelineConfig, config_to_json,
-                     load_config, read_input, read_manifest)
+from .config import (EXTRACTION_KEYS, ModelError, PipelineConfig, config_to_json, load_config,
+                     read_input, read_manifest)
 from .raster import PgmError, read_pgm, write_pgm
 from .segment import (
     CLASSES,
     QuantizationModel,
     TransactionDB,
-    csv_lines,
-    csv_text,
+    csv_bytes,
+    csv_rows,
     image_to_transaction,
     quantize,  # noqa: F401  unused here; perfbench/tests/test_bench_trace.py wraps this binding
     read_tdb_csv,
@@ -32,6 +32,7 @@ EXIT_IO = 2
 EXIT_SEMANTIC = 3
 EXIT_MODEL = 4
 SKIPPED = (OSError, ValueError)  # errors a manifest command skips an image for; PgmError is one
+PREDICTIONS_HEADER = "path,predicted,fired_rule_count"
 
 
 def _err(msg):
@@ -115,8 +116,9 @@ def cmd_features(args) -> int:
         for entry, fvs in per_image
     ]
     Path(args.output).write_bytes(write_tdb_csv(TransactionDB(transactions=transactions)))
-    _sidecar(args.output, "quant").write_text(json.dumps(qm.to_dict(), indent=2, sort_keys=True) + "\n")
-    _sidecar(args.output, "config").write_text(config_to_json(cfg, EXTRACTION_KEYS))
+    quant = json.dumps(qm.to_dict(), indent=2, sort_keys=True) + "\n"
+    _sidecar(args.output, "quant").write_bytes(quant.encode("utf-8"))
+    _sidecar(args.output, "config").write_bytes(config_to_json(cfg, EXTRACTION_KEYS))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -198,21 +200,19 @@ def cmd_classify(args) -> int:
             t = pipeline.image_transaction(fvs, model.quantization, name)
             label, fired = harc.classify(model, t)
             rows.append((name, label, len(fired)))
-    Path(args.output).write_text(csv_text("path,predicted,fired_rule_count", rows))
+    Path(args.output).write_bytes(csv_bytes(PREDICTIONS_HEADER, rows))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def _predictions(data):
     """{path: predicted class} of a predictions file, in its order."""
     predicted = {}
-    for lineno, line, parts in csv_lines(data.decode("utf-8")):
-        if lineno == 1 and line.startswith("path,"):
-            continue
-        if len(parts) != 3 or parts[1] not in CLASSES:
+    for lineno, (path, label, _) in csv_rows(data, PREDICTIONS_HEADER):
+        if label not in CLASSES:
             raise ValueError(f"line {lineno}: bad prediction row")
-        if parts[0] in predicted:
-            raise ValueError(f"line {lineno}: {parts[0]} predicted twice")
-        predicted[parts[0]] = parts[1]
+        if path in predicted:
+            raise ValueError(f"line {lineno}: {path} predicted twice")
+        predicted[path] = label
     return predicted
 
 
@@ -246,8 +246,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     if not 2 <= args.per_class <= sys.float_info.max:  # synth.generate_corpus splits it as a float
-        raise ConfigError(f"--per-class must be at least 2, one image for each split, and fit a float, "
-                          f"got {args.per_class}")
+        raise ValueError(f"--per-class must be at least 2, one image for each split, and fit a float, "
+                         f"got {args.per_class}")
     from . import synth
 
     synth.generate_corpus(args.out_dir, seed=args.seed, per_class=args.per_class)

@@ -9,15 +9,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .raster import PgmError
-from .segment import CLASSES, csv_lines, csv_text
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class ManifestError(ValueError):
-    pass
+from .segment import CLASSES, csv_bytes, csv_rows
 
 
 class ModelError(ValueError):
@@ -61,7 +53,7 @@ class PipelineConfig:
     def __init__(self, **values):
         unknown = set(values) - set(self.DEFAULTS)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for name, default in self.DEFAULTS.items():
             value = values.get(name, default)
             setattr(self, name, value)
@@ -72,21 +64,21 @@ class PipelineConfig:
             numeric = default is None or isinstance(default, float)
             kind = (int, float) if numeric else type(default)
             if not isinstance(value, kind) or isinstance(value, bool) != isinstance(default, bool):
-                raise ConfigError(f"config value {name}={value!r} has the wrong type")
+                raise ValueError(f"config value {name}={value!r} has the wrong type")
             if numeric and not abs(value) <= sys.float_info.max:  # NaN compares false
-                raise ConfigError(f"config value {name}={value!r} is not finite")
+                raise ValueError(f"config value {name}={value!r} is not finite")
         if not 0 < self.minsup <= 1:
-            raise ConfigError("minsup must lie in (0, 1]")
+            raise ValueError("minsup must lie in (0, 1]")
         if not 0 < self.minconf <= 1:
-            raise ConfigError("minconf must lie in (0, 1]")
+            raise ValueError("minconf must lie in (0, 1]")
         if not MIN_SIGMA <= self.sigma <= MAX_SIGMA:
-            raise ConfigError(f"sigma must lie in [{MIN_SIGMA:g}, {MAX_SIGMA:g}]")
+            raise ValueError(f"sigma must lie in [{MIN_SIGMA:g}, {MAX_SIGMA:g}]")
         if self.min_area < 1:
-            raise ConfigError("min_area must be >= 1")
+            raise ValueError("min_area must be >= 1")
         if (self.canny_low is None) != (self.canny_high is None):
-            raise ConfigError("set both canny_low and canny_high or neither")
+            raise ValueError("set both canny_low and canny_high or neither")
         if self.canny_low is not None and not 0 <= self.canny_low <= self.canny_high:
-            raise ConfigError("need 0 <= canny_low <= canny_high")
+            raise ValueError("need 0 <= canny_low <= canny_high")
 
     def __eq__(self, other):
         return type(other) is PipelineConfig and all(
@@ -97,7 +89,7 @@ def _config_document(data):
     """The settings of a config file, checked on their own before a flag overrides them."""
     doc = json.loads(data.decode("utf-8"))
     if not isinstance(doc, dict):
-        raise ConfigError("not a JSON object")
+        raise ValueError("not a JSON object")
     PipelineConfig(**doc)
     return doc
 
@@ -108,13 +100,13 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     values = {} if path is None else read_input(path, _config_document)
     try:
         return PipelineConfig(**values | (overrides or {}))
-    except ConfigError as exc:  # the file alone is valid, so a flag made it fail
-        raise ConfigError(f"{', '.join(map(PipelineConfig.FLAGS.get, overrides))}: {exc}") from None
+    except ValueError as exc:  # the file alone is valid, so a flag made it fail
+        raise ValueError(f"{', '.join(map(PipelineConfig.FLAGS.get, overrides))}: {exc}") from None
 
 
-def config_to_json(cfg: PipelineConfig, keys=tuple(PipelineConfig.DEFAULTS)) -> str:
+def config_to_json(cfg: PipelineConfig, keys=tuple(PipelineConfig.DEFAULTS)) -> bytes:
     doc = {name: getattr(cfg, name) for name in keys}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 class ManifestEntry(NamedTuple):
@@ -130,12 +122,12 @@ class Manifest:
         self.entries, self.base_dir = list(entries), base_dir
         paths = [e.path for e in self.entries]
         if len(set(paths)) != len(paths):
-            raise ManifestError("duplicate image paths in manifest")
+            raise ValueError("duplicate image paths in manifest")
         for e in self.entries:
             if e.label is not None and e.label not in CLASSES:
-                raise ManifestError(f"unknown label {e.label!r} for {e.path}")
+                raise ValueError(f"unknown label {e.label!r} for {e.path}")
             if e.split not in ("train", "test"):
-                raise ManifestError(f"unknown split {e.split!r} for {e.path}")
+                raise ValueError(f"unknown split {e.split!r} for {e.path}")
 
     def __eq__(self, other):
         return type(other) is Manifest and (self.entries, self.base_dir) == (other.entries, other.base_dir)
@@ -149,18 +141,12 @@ MANIFEST_HEADER = "path,label,split"
 
 def read_manifest(path) -> Manifest:
     def parse(data):
-        entries = []
-        for lineno, line, parts in csv_lines(data.decode("utf-8")):
-            if lineno == 1 and line.strip() == MANIFEST_HEADER:
-                continue
-            if len(parts) != 3:
-                raise ManifestError(f"line {lineno}: expected 'path,label,split'")
-            p, label, split = (s.strip() for s in parts)
-            entries.append(ManifestEntry(path=p, label=label or None, split=split))
-        return Manifest(entries=entries, base_dir=Path(path).parent)
+        rows = ([s.strip() for s in fields] for _, fields in csv_rows(data, MANIFEST_HEADER))
+        entries = [ManifestEntry(p, label or None, split) for p, label, split in rows]
+        return Manifest(entries, Path(path).parent)
 
     return read_input(path, parse)
 
 
-def write_manifest(manifest: Manifest) -> str:
-    return csv_text(MANIFEST_HEADER, ((e.path, e.label or "", e.split) for e in manifest.entries))
+def write_manifest(manifest: Manifest) -> bytes:
+    return csv_bytes(MANIFEST_HEADER, ((e.path, e.label or "", e.split) for e in manifest.entries))

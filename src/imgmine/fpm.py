@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .segment import CLASS_ITEMS, ITEM_CLASSES, Transaction, TransactionDB, coarse_item, csv_text
+from .segment import CLASS_ITEMS, ITEM_CLASSES, Transaction, TransactionDB, coarse_item, csv_bytes
 
 
 class FPNode:
@@ -282,7 +282,7 @@ def mfi_to_csv(per_level) -> bytes:
         mfi = [(tuple(sorted(m)), family[m]) for m in mine_mfi(family, tree)]
         for items, sup in sorted(mfi, key=lambda r: (len(r[0]), r[0])):
             rows.append((level, ";".join(str(i) for i in items), sup))
-    return csv_text("level,items,support", rows).encode("utf-8")
+    return csv_bytes("level,items,support", rows)
 
 
 def rules_to_csv(rules) -> bytes:
@@ -291,4 +291,4 @@ def rules_to_csv(rules) -> bytes:
          f"{float(r.support):.6f}", f"{float(r.confidence):.6f}")
         for r in rules
     )
-    return csv_text("antecedent,class,support,confidence", rows).encode("utf-8")
+    return csv_bytes("antecedent,class,support,confidence", rows)

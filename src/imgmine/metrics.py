@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .segment import CLASSES, csv_text
+from .segment import CLASSES, csv_bytes
 
 ABNORMAL = ("benign", "malignant")  # positive class; normal is negative
 
@@ -108,4 +108,4 @@ def report(m: MultiClassMatrix):
     rows = [(name, f"{float(v) * 100:.1f}") for name, v in measures]
     rows.append(("matrix", *CLASSES))
     rows.extend((t, *(m.get(t, p) for p in CLASSES)) for t in CLASSES)
-    return "\n".join(text_lines) + "\n", csv_text("metric,value", rows).encode("utf-8")
+    return "\n".join(text_lines) + "\n", csv_bytes("metric,value", rows)

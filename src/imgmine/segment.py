@@ -20,10 +20,6 @@ NO_OBJECT_ITEM = 999  # sentinel for images with no extracted regions
 GLCM_LEVELS = 8
 
 
-class TdbError(ValueError):
-    """Malformed transaction database input."""
-
-
 class Region(NamedTuple):
     """8-connected pixel component; coords is an (n, 2) array of (y, x) in raster order."""
 
@@ -75,7 +71,7 @@ class TransactionDB:
         self.transactions = list(transactions)
         tids = [t.tid for t in self.transactions]
         if len(set(tids)) != len(tids):
-            raise TdbError("duplicate tids in transaction database")
+            raise ValueError("duplicate tids in transaction database")
 
     def __eq__(self, other):
         return type(other) is TransactionDB and self.transactions == other.transactions
@@ -248,19 +244,25 @@ def image_to_transaction(
     return Transaction(tid=tid, items=tuple(sorted(items or {NO_OBJECT_ITEM})), label=label)
 
 
-def csv_lines(text: str):
-    """(line number, line, CSV fields) of each non-blank line; a quoted field may hold commas."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            yield lineno, line, next(csv.reader([line]))
+def csv_rows(data: bytes, header: str):
+    """(line number, CSV fields) of each non-blank line of UTF-8 data, a leading byte-order
+    mark dropped; line 1 is skipped when it is the header, and every other row must have
+    the header's field count. A quoted field may hold commas."""
+    width = header.count(",") + 1
+    for lineno, line in enumerate(data.decode("utf-8-sig").splitlines(), start=1):
+        if line.strip() and not (lineno == 1 and line.strip() == header):
+            fields = next(csv.reader([line]))
+            if len(fields) != width:
+                raise ValueError(f"line {lineno}: expected {header!r}")
+            yield lineno, fields
 
 
-def csv_text(header: str, rows) -> str:
-    """The header line, then one CSV line per row; a field holding a comma is quoted."""
+def csv_bytes(header: str, rows) -> bytes:
+    """The header line, then one CSV line per row, as UTF-8; a field holding a comma is quoted."""
     out = io.StringIO()
     out.write(header + "\n")
     csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    return out.getvalue().encode("utf-8")
 
 
 TDB_HEADER = "tid,label,items"
@@ -268,7 +270,7 @@ TDB_HEADER = "tid,label,items"
 
 def write_tdb_csv(db: TransactionDB) -> bytes:
     rows = ((t.tid, t.label or "", ";".join(str(i) for i in t.items)) for t in db.transactions)
-    return csv_text(TDB_HEADER, rows).encode("utf-8")
+    return csv_bytes(TDB_HEADER, rows)
 
 
 def _item(token: str) -> int:
@@ -281,27 +283,21 @@ def _item(token: str) -> int:
 
 
 def read_tdb_csv(data: bytes) -> TransactionDB:
-    text = data.decode("utf-8")
     transactions = []
     seen = set()
-    for lineno, line, parts in csv_lines(text):
-        if lineno == 1 and line.strip() == TDB_HEADER:
-            continue
-        if len(parts) != 3:
-            raise TdbError(f"line {lineno}: expected 'tid,label,items'")
-        tid, label, items_str = parts
+    for lineno, (tid, label, items_str) in csv_rows(data, TDB_HEADER):
         if tid in seen:
-            raise TdbError(f"line {lineno}: duplicate tid {tid!r}")
+            raise ValueError(f"line {lineno}: duplicate tid {tid!r}")
         seen.add(tid)
         try:
             items = tuple(_item(s) for s in items_str.split(";") if s)
         except ValueError:
-            raise TdbError(f"line {lineno}: non-numeric item in {items_str!r}") from None
+            raise ValueError(f"line {lineno}: non-numeric item in {items_str!r}") from None
         reserved = [i for i in items if i in ITEM_CLASSES]
         if reserved:
-            raise TdbError(f"line {lineno}: item {reserved[0]} is a reserved class code")
+            raise ValueError(f"line {lineno}: item {reserved[0]} is a reserved class code")
         try:
             transactions.append(Transaction(tid=tid, items=items, label=label or None))
         except ValueError as exc:
-            raise TdbError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"line {lineno}: {exc}") from None
     return TransactionDB(transactions=transactions)

@@ -96,6 +96,6 @@ def generate_corpus(out_dir, seed: int = 42, per_class: int = 20):
             split = "train" if idx < n_train else "test"
             entries.append(ManifestEntry(path=rel, label=label, split=split))
     manifest = Manifest(entries=entries, base_dir=out_dir)
-    (out_dir / "manifest.csv").write_text(write_manifest(manifest))
-    (out_dir / "config.json").write_text(config_to_json(corpus_config(seed)))
+    (out_dir / "manifest.csv").write_bytes(write_manifest(manifest))
+    (out_dir / "config.json").write_bytes(config_to_json(corpus_config(seed)))
     return manifest

@@ -1,4 +1,5 @@
 import ast
+import codecs
 import gc
 import hashlib
 import json
@@ -457,7 +458,7 @@ def test_malformed_quantization_exits_3(tmp_path, capsys, quant):
     """Each error names the file, whatever it found wrong there."""
     tdb, path = tmp_path / "t.csv", tmp_path / "t.csv.quant.json"
     tdb.write_bytes(labeled_tdb())
-    (tmp_path / "t.csv.config.json").write_text(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
+    (tmp_path / "t.csv.config.json").write_bytes(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
     path.write_bytes(quant.encode("utf-8", "surrogateescape"))
     model = tmp_path / "model.json"
     assert main(["train", "--tdb", str(tdb), str(model)]) == 3
@@ -594,7 +595,7 @@ def _train_disagrees(tmp_path):
     tdb, model, cfg = tmp_path / "t.csv", tmp_path / "model.json", tmp_path / "cfg.json"
     tdb.write_bytes(labeled_tdb())
     (tmp_path / "t.csv.quant.json").write_text("{}")
-    (tmp_path / "t.csv.config.json").write_text(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
+    (tmp_path / "t.csv.config.json").write_bytes(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
     cfg.write_text('{"sigma": 2.0, "min_area": 9}')
     return (["train", "--tdb", str(tdb), str(model), "--config", str(cfg)], model,
             f"config {cfg} and record {tdb}.config.json disagree on sigma, min_area")
@@ -607,7 +608,7 @@ STOPS = {
     "bad-prediction-row": (3, _predictions("a.pgm,normal,0\nb.pgm,cancerous,0\n",
                                            "a.pgm,normal,test\n", "{pred}: line 3: bad prediction row")),
     "short-prediction-row": (3, _predictions("a.pgm,normal\n", "a.pgm,normal,test\n",
-                                             "{pred}: line 2: bad prediction row")),
+                                             "{pred}: line 2: expected 'path,predicted,fired_rule_count'")),
     "path-predicted-twice": (3, _predictions("a.pgm,normal,0\nb.pgm,benign,0\nb.pgm,benign,0\n",
                                              "a.pgm,normal,test\nb.pgm,benign,test\n",
                                              "{pred}: line 4: b.pgm predicted twice")),
@@ -675,21 +676,23 @@ def test_only_main_turns_a_failure_into_an_exit_code():
 
 
 def valid_inputs(tmp_path):
-    """A valid file of each input kind, by kind; the model holds a quantization."""
+    """A valid file of each input kind, by kind; the model holds a quantization, and the
+    manifest names a flat image and the blob, both for training."""
     paths = {kind: tmp_path / name for kind, name in (
         ("tdb", "t.csv"), ("record", "t.csv.config.json"), ("quant", "t.csv.quant.json"),
         ("model", "model.json"), ("manifest", "manifest.csv"), ("pred", "pred.csv"),
         ("config", "cfg.json"), ("image", "blob.pgm"))}
     paths["tdb"].write_bytes(labeled_tdb())
-    paths["record"].write_text(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
+    paths["record"].write_bytes(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
     paths["quant"].write_text(json.dumps(full_quantization()))
     quantization = QuantizationModel.from_dict(full_quantization())
     paths["model"].write_bytes(harc.model_to_json(harc.train(read_tdb_csv(labeled_tdb()),
                                                              quantization=quantization)))
-    paths["manifest"].write_text("path,label,split\nblob.pgm,benign,test\n")
-    paths["pred"].write_text("path,predicted,fired_rule_count\nblob.pgm,benign,0\n")
+    paths["manifest"].write_text("path,label,split\nflat.pgm,normal,train\nblob.pgm,benign,train\n")
+    paths["pred"].write_text("path,predicted,fired_rule_count\nflat.pgm,normal,0\nblob.pgm,benign,0\n")
     paths["config"].write_text("{}")
     write_image(paths["image"], blob_image())
+    write_image(tmp_path / "flat.pgm", np.full((32, 32), 90))
     return paths
 
 
@@ -719,7 +722,8 @@ INPUT_ERRORS = {
                  "unknown split 'dev' for a.pgm"),
     "manifest-not-utf8": ("features", "manifest", b"\xff", 3, NOT_UTF8),
     "manifest-of-evaluate": ("evaluate", "manifest", b"a.pgm\n", 3, "line 1: expected 'path,label,split'"),
-    "predictions": ("evaluate", "pred", b"a.pgm,normal\n", 3, "line 1: bad prediction row"),
+    "predictions": ("evaluate", "pred", b"a.pgm,normal\n", 3,
+                    "line 1: expected 'path,predicted,fired_rule_count'"),
     "predictions-not-utf8": ("evaluate", "pred", b"\xff", 3, NOT_UTF8),
     "config": ("mine", "config", b"[]", 3, "not a JSON object"),
     "record": ("train", "record", b'{"sigma": 0}', 3, "sigma must lie in [0.2, 100]"),
@@ -755,6 +759,37 @@ def test_every_input_error_names_its_file(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# Each command that reads a CSV, with the kind that starts with a byte-order mark.
+BOM_CASES = {
+    "features-manifest": ("features", "manifest"),
+    "evaluate-predictions": ("evaluate", "pred"),
+    "evaluate-manifest": ("evaluate", "manifest"),
+    "mine-tdb": ("mine", "tdb"),
+    "classify-tdb": ("classify-tdb", "tdb"),
+}
+
+
+@pytest.mark.parametrize("case", list(BOM_CASES))
+def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path, capsys, case):
+    """A CSV saved with a UTF-8 byte-order mark, as spreadsheet tools save one, reads as the
+    same file without it: the same exit code, output and bytes of every file written."""
+    command, kind = BOM_CASES[case]
+    runs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        work = tmp_path / name
+        work.mkdir()
+        paths = valid_inputs(work)
+        paths[kind].write_bytes(prefix + paths[kind].read_bytes())
+        before = set(work.iterdir())
+        capsys.readouterr()
+        code = main([arg.format(out=work / "out", **paths) for arg in INPUT_COMMANDS[command]])
+        captured = capsys.readouterr()
+        written = {p.name: p.read_bytes() for p in sorted(set(work.iterdir()) - before)}
+        runs.append((code, captured.out, captured.err.replace(str(work), "DIR"), written))
+    assert runs[0][0] == 0 and "out" in runs[0][3]
+    assert runs[1] == runs[0]
+
+
 def file_reads(tree):
     """The top-level definition around each call that reads a file: .read_bytes(), .read_text()
     or the builtin open(); "<module>" for a call outside any definition."""
@@ -783,6 +818,29 @@ def test_only_read_input_reads_a_file():
     readers = {(path.stem, name) for path in sorted(package.glob("*.py"))
                for name in file_reads(ast.parse(path.read_text()))}
     assert readers == {("config", "read_input")}
+
+
+def file_writes(tree):
+    """The top-level definition around each .write_text() call; "<module>" outside any."""
+    return [getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "write_text"]
+
+
+def test_file_writes_detected():
+    tree = ast.parse("import x\nx.write_text('a')\nwrite_text('b')\n"
+                     "def f(p):\n    def g():\n        return p.write_text('c')\n    return p.write_bytes(b'')\n"
+                     "class C:\n    def m(self, p):\n        p.write_text('d')\n")
+    assert sorted(file_writes(tree)) == ["<module>", "C", "f"]
+
+
+def test_no_module_writes_text():
+    """Every file the package writes is bytes it encoded as UTF-8 itself, never text in the
+    locale's encoding."""
+    package = Path(cli.__file__).parent
+    writers = {(path.stem, name) for path in sorted(package.glob("*.py"))
+               for name in file_writes(ast.parse(path.read_text()))}
+    assert writers == set()
 
 
 # --------------------------------------------------------------- preprocess
@@ -961,11 +1019,34 @@ def test_readme_chain_artifact_digests(tmp_path):
     assert {name: sha256(tmp_path / name) for name in README_DIGESTS} == README_DIGESTS
 
 
-def cli_child(argv, cwd=None, program=("-m", "imgmine.cli")):
-    """Run the CLI in a fresh interpreter, as an installed `imgmine` or perfbench runs it."""
+def cli_child(argv, cwd=None, program=("-m", "imgmine.cli"), env=None):
+    """Run the CLI in a fresh interpreter, as an installed `imgmine` or perfbench runs it;
+    env adds to or overrides this process's environment."""
     src = Path(__file__).resolve().parents[1] / "src"
-    return subprocess.run([sys.executable, *program, *argv], cwd=cwd, capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    return subprocess.run([sys.executable, *program, *argv], cwd=cwd, capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src), **(env or {})})
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_predictions_are_utf8_under_an_ascii_locale(tmp_path):
+    """classify writes its predictions as UTF-8 bytes, as features writes the TDB, whatever
+    the locale's encoding: a non-ASCII tid is written, not an encoding error."""
+    probe = cli_child([], program=("-c", "import locale; print(locale.getpreferredencoding(False))"),
+                      env=ASCII_LOCALE)
+    if codecs.lookup(probe.stdout.strip()).name == "utf-8":
+        pytest.skip(f"the C locale's encoding is {probe.stdout.strip()} here")
+    tdb, model = tmp_path / "t.csv", tmp_path / "model.json"
+    tdb.write_bytes(labeled_tdb() + "bénin.pgm,,111;211\n".encode("utf-8"))
+    model.write_bytes(_trained_model())
+    preds = {}
+    for name, env in (("ascii", ASCII_LOCALE), ("utf8", {**ASCII_LOCALE, "PYTHONUTF8": "1"})):
+        proc = cli_child(["classify", str(model), "--tdb", str(tdb), f"{name}.csv"], tmp_path, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        preds[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert "bénin.pgm,benign,".encode("utf-8") in preds["utf8"]
+    assert preds["ascii"] == preds["utf8"]
 
 
 def test_readme_chain_as_child_processes(tmp_path):
@@ -1118,7 +1199,7 @@ def test_paths_with_commas_run_the_whole_chain(tmp_path, capsys):
     man.write_text("path,label,split\n" + "".join(
         f'"{p}",{label},{split}\n' if "," in p else f"{p},{label},{split}\n" for p, label, split in rows
     ))
-    assert write_manifest(read_manifest(man)) == man.read_text()
+    assert write_manifest(read_manifest(man)) == man.read_bytes()
     tdb, model, pred = tmp_path / "tdb.csv", tmp_path / "model.json", tmp_path / "pred.csv"
     assert main(["features", str(man), str(tdb)]) == 0
     assert [t.tid for t in read_tdb_csv(tdb.read_bytes()).transactions] == [p for p, _, _ in rows]
@@ -1156,7 +1237,7 @@ def test_mine_labeled_tdb_writes_rules(tmp_path):
 def test_train_tdb_without_quantization_warns(tmp_path, capsys):
     tdb = tmp_path / "t.csv"
     tdb.write_bytes(labeled_tdb())
-    (tmp_path / "t.csv.config.json").write_text(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
+    (tmp_path / "t.csv.config.json").write_bytes(config_to_json(PipelineConfig(), EXTRACTION_KEYS))
     model = tmp_path / "model.json"
     assert main(["train", "--tdb", str(tdb), str(model)]) == 0
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from imgmine.config import MIN_SIGMA, ConfigError, PipelineConfig
+from imgmine.config import MIN_SIGMA, PipelineConfig
 from imgmine.edge import (
     FLAT_MAGNITUDE,
     GradientField,
@@ -465,7 +465,7 @@ def test_canny_invariant_under_brightness_shift():
 
 
 def test_canny_params_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^sigma must lie in \[0\.2, 100\]$"):
         PipelineConfig(sigma=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^need 0 <= canny_low <= canny_high$"):
         canny_config(1.4, 5.0, 2.0)

@@ -10,7 +10,6 @@ from imgmine.segment import (
     FeatureVector,
     QuantizationModel,
     Region,
-    TdbError,
     Transaction,
     TransactionDB,
     coarse_item,
@@ -354,10 +353,10 @@ def test_tdb_round_trip():
 
 
 def test_tdb_duplicate_tid():
-    with pytest.raises(TdbError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         read_tdb_csv(b"001,,1\n001,,2\n")
 
 
 def test_tdb_non_numeric_item():
-    with pytest.raises(TdbError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1"):
         read_tdb_csv(b"001,,1;x;3\n")
